@@ -10,7 +10,10 @@
 // (paper §4.1.2).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Level identifies where an access was served from.
 type Level int
@@ -73,12 +76,22 @@ type line struct {
 	lru   uint64 // larger = more recently used
 }
 
+// Sets are stored in fixed-size chunks of chunkSets sets, allocated on
+// the first fill into one of their sets; a nil chunk reads as all-zero
+// (invalid) lines. A run touches a few hundred of the L3's 8192 sets, so
+// booting, flushing, snapshotting and restoring a cache cost only the
+// chunks it has filled — the idiom mem.PhysMem uses for its memory.
+const (
+	chunkShift = 6 // 64 sets per chunk
+	chunkSets  = 1 << chunkShift
+)
+
 // Cache is one set-associative, physically-tagged cache level with LRU
 // replacement. It tracks presence only (the simulation keeps data in
 // mem.PhysMem); that is sufficient for timing behaviour.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	chunks    [][]line // len == ceil(Sets/chunkSets); nil chunk == all lines zero
 	lruClock  uint64
 	hits      uint64
 	misses    uint64
@@ -92,15 +105,11 @@ type Cache struct {
 }
 
 // New builds a cache from cfg, panicking on invalid configuration (caches
-// are constructed from compile-time parameter sets).
+// are constructed from compile-time parameter sets). No set storage is
+// allocated until the first fill.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	sets := make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
 	shift := uint(0)
 	for 1<<shift != cfg.LineSize {
@@ -108,10 +117,41 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		chunks:    make([][]line, (cfg.Sets+chunkSets-1)>>chunkShift),
 		lineShift: shift,
 		setMask:   uint64(cfg.Sets - 1),
 	}
+}
+
+// chunkLines is the number of lines in one allocated chunk.
+func (c *Cache) chunkLines() int { return min(c.cfg.Sets, chunkSets) * c.cfg.Ways }
+
+// chunk returns chunk i, allocating it on first use.
+func (c *Cache) chunk(i int) []line {
+	if c.chunks[i] == nil {
+		c.chunks[i] = make([]line, c.chunkLines())
+	}
+	return c.chunks[i]
+}
+
+// set returns the ways of set s, or nil when its chunk was never filled
+// (every way zero, hence invalid). It never allocates.
+func (c *Cache) set(s uint64) []line {
+	if ch := c.chunks[s>>chunkShift]; ch != nil {
+		return c.ways(ch, s)
+	}
+	return nil
+}
+
+// fillSet returns the ways of set s, allocating its chunk on first fill.
+func (c *Cache) fillSet(s uint64) []line {
+	return c.ways(c.chunk(int(s>>chunkShift)), s)
+}
+
+// ways slices set s out of its chunk ch.
+func (c *Cache) ways(ch []line, s uint64) []line {
+	off := int(s&(chunkSets-1)) * c.cfg.Ways
+	return ch[off : off+c.cfg.Ways : off+c.cfg.Ways]
 }
 
 // Config returns the cache's configuration.
@@ -119,16 +159,12 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(pa uint64) (set uint64, tag uint64) {
 	lineAddr := pa >> c.lineShift
-	return lineAddr & c.setMask, lineAddr >> uint(log2(c.cfg.Sets))
+	return lineAddr & c.setMask, lineAddr >> c.setBits()
 }
 
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
-}
+// setBits is log2(Sets): the number of line-address bits the set index
+// takes.
+func (c *Cache) setBits() uint { return uint(bits.Len64(c.setMask)) }
 
 // Lookup probes the cache without modifying replacement state.
 func (c *Cache) Lookup(pa uint64) bool {
@@ -136,8 +172,8 @@ func (c *Cache) Lookup(pa uint64) bool {
 	if c.onTouch != nil {
 		c.onTouch(int(set))
 	}
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, l := range c.set(set) {
+		if l.valid && l.tag == tag {
 			return true
 		}
 	}
@@ -153,7 +189,7 @@ func (c *Cache) Access(pa uint64) (hit bool, evicted uint64, evictedOK bool) {
 		c.onTouch(int(set))
 	}
 	c.lruClock++
-	lines := c.sets[set]
+	lines := c.fillSet(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lru = c.lruClock
@@ -181,7 +217,7 @@ fill:
 }
 
 func (c *Cache) lineAddr(set, tag uint64) uint64 {
-	return (tag<<uint(log2(c.cfg.Sets)) | set) << c.lineShift
+	return (tag<<c.setBits() | set) << c.lineShift
 }
 
 // Flush invalidates the line containing pa, reporting whether it was
@@ -191,23 +227,25 @@ func (c *Cache) Flush(pa uint64) bool {
 	if c.onInval != nil {
 		c.onInval()
 	}
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			c.sets[set][i].valid = false
+	lines := c.set(set)
+	for i := range lines {
+		if lines[i].valid && lines[i].tag == tag {
+			lines[i].valid = false
 			return true
 		}
 	}
 	return false
 }
 
-// FlushAll invalidates every line.
+// FlushAll invalidates every line. Only filled chunks can hold valid
+// lines; invalidated lines keep their tag and LRU clock.
 func (c *Cache) FlushAll() {
 	if c.onInval != nil {
 		c.onInval()
 	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
+	for _, ch := range c.chunks {
+		for i := range ch {
+			ch[i].valid = false
 		}
 	}
 }

@@ -39,10 +39,11 @@ func (c *Cache) SetMemoHooks(touch func(set int), invalidate func()) {
 // per way, its valid bit and — when valid — its tag and LRU rank among
 // the set's valid ways. Invalid ways contribute position only (victim
 // selection prefers the first invalid way by index, never by recency).
+// A never-filled set hashes as Ways invalid ways without being allocated.
 func (c *Cache) MemoHashSet(set int, h uint64) uint64 {
-	lines := c.sets[set]
-	for i := range lines {
-		if !lines[i].valid {
+	lines := c.set(uint64(set))
+	for i := 0; i < c.cfg.Ways; i++ {
+		if lines == nil || !lines[i].valid {
 			h = fold(h, 0)
 			continue
 		}
@@ -71,12 +72,17 @@ type LineImage struct {
 	LruOff int64
 }
 
-// MemoCaptureSet images one set at the end of a recorded window.
+// MemoCaptureSet images one set at the end of a recorded window. A
+// never-filled set images as all-zero ways without being allocated.
 func (c *Cache) MemoCaptureSet(set int, startClock uint64) []LineImage {
-	lines := c.sets[set]
-	img := make([]LineImage, len(lines))
-	for i := range lines {
-		img[i] = LineImage{Valid: lines[i].valid, Tag: lines[i].tag, LruOff: -1}
+	lines := c.set(uint64(set))
+	img := make([]LineImage, c.cfg.Ways)
+	for i := range img {
+		img[i].LruOff = -1
+		if lines == nil {
+			continue
+		}
+		img[i].Valid, img[i].Tag = lines[i].valid, lines[i].tag
 		if lines[i].lru > startClock {
 			img[i].LruOff = int64(lines[i].lru - startClock)
 		}
@@ -87,7 +93,7 @@ func (c *Cache) MemoCaptureSet(set int, startClock uint64) []LineImage {
 // MemoApplySet splices a captured set image back in, rebasing in-window
 // LRU assignments onto baseClock (the set's clock when the splice began).
 func (c *Cache) MemoApplySet(set int, img []LineImage, baseClock uint64) {
-	lines := c.sets[set]
+	lines := c.fillSet(uint64(set))
 	for i := range img {
 		lines[i].valid = img[i].Valid
 		lines[i].tag = img[i].Tag

@@ -12,15 +12,20 @@ import (
 // built from the same configuration, so a config drift surfaces as a
 // descriptive error rather than silent state corruption.
 
-// LineSnap is one serializable cache line.
+// LineSnap is one serializable cache line. Index is its position in
+// the set-major line array: Index = set*Ways + way.
 type LineSnap struct {
+	Index int
 	Valid bool
 	Tag   uint64
 	LRU   uint64
 }
 
 // CacheSnap is the serializable state of one cache level. Lines is
-// set-major: Lines[set*Ways+way].
+// sparse: it lists only the lines that differ from the zero line (never
+// filled), in strictly increasing Index order, so a snapshot costs the
+// lines a run touched rather than the cache's capacity. Invalid lines
+// that still carry a tag or LRU clock are listed too.
 type CacheSnap struct {
 	Sets, Ways int
 	Lines      []LineSnap
@@ -29,36 +34,62 @@ type CacheSnap struct {
 	Misses     uint64
 }
 
-// Snapshot captures the cache's line array and statistics.
+// Snapshot captures the cache's non-zero lines and statistics.
 func (c *Cache) Snapshot() CacheSnap {
 	s := CacheSnap{
 		Sets:     c.cfg.Sets,
 		Ways:     c.cfg.Ways,
-		Lines:    make([]LineSnap, c.cfg.Sets*c.cfg.Ways),
 		LRUClock: c.lruClock,
 		Hits:     c.hits,
 		Misses:   c.misses,
 	}
-	for si, set := range c.sets {
-		for wi, l := range set {
-			s.Lines[si*c.cfg.Ways+wi] = LineSnap{Valid: l.valid, Tag: l.tag, LRU: l.lru}
+	n := 0
+	for _, ch := range c.chunks {
+		for _, l := range ch {
+			if l != (line{}) {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return s
+	}
+	s.Lines = make([]LineSnap, 0, n)
+	per := c.chunkLines()
+	for ci, ch := range c.chunks {
+		for i, l := range ch {
+			if l != (line{}) {
+				s.Lines = append(s.Lines, LineSnap{Index: ci*per + i, Valid: l.valid, Tag: l.tag, LRU: l.lru})
+			}
 		}
 	}
 	return s
 }
 
 // Restore overwrites the cache's state with a snapshot taken from a cache
-// of the same geometry.
+// of the same geometry: every filled chunk is zeroed, then the listed
+// lines are written back. A malformed snapshot — wrong geometry, or a
+// line Index out of range, repeated or out of order — is rejected before
+// any state changes.
 func (c *Cache) Restore(s CacheSnap) error {
-	if s.Sets != c.cfg.Sets || s.Ways != c.cfg.Ways || len(s.Lines) != s.Sets*s.Ways {
-		return fmt.Errorf("cache %s: snapshot geometry %dx%d (%d lines), have %dx%d",
-			c.cfg.Name, s.Sets, s.Ways, len(s.Lines), c.cfg.Sets, c.cfg.Ways)
+	if s.Sets != c.cfg.Sets || s.Ways != c.cfg.Ways {
+		return fmt.Errorf("cache %s: snapshot geometry %dx%d, have %dx%d",
+			c.cfg.Name, s.Sets, s.Ways, c.cfg.Sets, c.cfg.Ways)
 	}
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ls := s.Lines[si*s.Ways+wi]
-			c.sets[si][wi] = line{valid: ls.Valid, tag: ls.Tag, lru: ls.LRU}
+	prev := -1
+	for _, ls := range s.Lines {
+		if ls.Index <= prev || ls.Index >= s.Sets*s.Ways {
+			return fmt.Errorf("cache %s: snapshot line index %d after %d (want strictly increasing in [0,%d))",
+				c.cfg.Name, ls.Index, prev, s.Sets*s.Ways)
 		}
+		prev = ls.Index
+	}
+	for _, ch := range c.chunks {
+		clear(ch)
+	}
+	per := c.chunkLines()
+	for _, ls := range s.Lines {
+		c.chunk(ls.Index / per)[ls.Index%per] = line{valid: ls.Valid, tag: ls.Tag, lru: ls.LRU}
 	}
 	c.lruClock = s.LRUClock
 	c.hits = s.Hits

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+
+	"microscope/sim/cache"
 )
 
 // maxDiffs bounds the number of differences Diff reports; a corrupted
@@ -14,8 +16,9 @@ const maxDiffs = 64
 // human-readable line per difference ("path: a != b"), capped at
 // maxDiffs (a final "..." line marks truncation). Byte slices — the
 // physical-memory image — are summarized as differing ranges rather
-// than per-byte lines. An empty result means the snapshots are
-// structurally identical.
+// than per-byte lines; sparse cache line lists are aligned by line index
+// and name each differing line by set and way. An empty result means the
+// snapshots are structurally identical.
 func Diff(a, b *Machine) []string {
 	d := &differ{}
 	d.walk("", reflect.ValueOf(a), reflect.ValueOf(b))
@@ -63,6 +66,10 @@ func (d *differ) walk(path string, a, b reflect.Value) {
 			if f.PkgPath != "" {
 				continue // unexported: snapshots are plain exported data
 			}
+			if t == cacheSnapType && f.Name == "Lines" {
+				d.diffLines(join(path, f.Name), a.Interface().(cache.CacheSnap), b.Interface().(cache.CacheSnap))
+				continue
+			}
 			d.walk(join(path, f.Name), a.Field(i), b.Field(i))
 		}
 	case reflect.Slice, reflect.Array:
@@ -108,6 +115,39 @@ func (d *differ) walk(path string, a, b reflect.Value) {
 		av, bv := a.Interface(), b.Interface()
 		if !reflect.DeepEqual(av, bv) {
 			d.add(path, "%v != %v", av, bv)
+		}
+	}
+}
+
+var cacheSnapType = reflect.TypeOf(cache.CacheSnap{})
+
+// diffLines compares two sparse cache line lists by a merge walk on
+// Index, so one line present in only one snapshot is one difference
+// rather than a shift of every later entry. Lines are named by set and
+// way; snapshots of different associativity fall back to the plain
+// element-wise walk (the Ways difference is reported on its own).
+func (d *differ) diffLines(path string, a, b cache.CacheSnap) {
+	if a.Ways != b.Ways || a.Ways <= 0 {
+		d.walk(path, reflect.ValueOf(a.Lines), reflect.ValueOf(b.Lines))
+		return
+	}
+	name := func(l cache.LineSnap) string {
+		return fmt.Sprintf("%s[set %d way %d]", path, l.Index/a.Ways, l.Index%a.Ways)
+	}
+	i, j := 0, 0
+	for (i < len(a.Lines) || j < len(b.Lines)) && !d.truncated {
+		switch {
+		case j == len(b.Lines) || i < len(a.Lines) && a.Lines[i].Index < b.Lines[j].Index:
+			l := a.Lines[i]
+			d.add(name(l), "only in first (valid %t, tag %#x, lru %d)", l.Valid, l.Tag, l.LRU)
+			i++
+		case i == len(a.Lines) || b.Lines[j].Index < a.Lines[i].Index:
+			l := b.Lines[j]
+			d.add(name(l), "only in second (valid %t, tag %#x, lru %d)", l.Valid, l.Tag, l.LRU)
+			j++
+		default:
+			d.walk(name(a.Lines[i]), reflect.ValueOf(a.Lines[i]), reflect.ValueOf(b.Lines[j]))
+			i, j = i+1, j+1
 		}
 	}
 }

@@ -28,8 +28,10 @@ import (
 // Version is the snapshot format version. Bump it when any Snap struct
 // changes shape; Decode rejects mismatched versions instead of silently
 // mis-restoring state. Version 2 added the Jamais Vu detector state to
-// cpu.ContextSnap (JVEpoch/JVCounts, PR 9).
-const Version = 2
+// cpu.ContextSnap (JVEpoch/JVCounts). Version 3 made
+// cache.CacheSnap sparse: Lines lists only non-zero lines, each tagged
+// with its Index.
+const Version = 3
 
 // RecipeState is the serializable state of one attack recipe. The
 // victim is identified by PID (process pointers are re-resolved against
