@@ -30,13 +30,12 @@ type ffDigest struct {
 	faults    int
 	regs      [2][isa.NumRegs]uint64
 	stats     [2]cpu.ContextStats
-	memo      cpu.MemoStats
 }
 
 // ffAssertEqual requires two runs of the same scenario to be
 // observationally identical (trace hash, cycles, replays, registers,
-// statistics); skipped-cycle totals and memo statistics are compared by
-// the individual suites, which control the respective features.
+// statistics); skipped-cycle totals are compared by the fast-forward
+// suite, which controls that feature.
 func ffAssertEqual(t *testing.T, on, off ffDigest, onLabel, offLabel string) {
 	t.Helper()
 	if on.traceHash != off.traceHash || on.events != off.events {
@@ -68,7 +67,6 @@ type ffScenario struct {
 	layout  func(t *testing.T) *victim.Layout
 	handle  string // symbol of the replay-handle page
 	monitor bool   // schedule a port-contention monitor on SMT context 1
-	rng     bool   // victim draws rdrand: every window starts from a new RNG state
 }
 
 func ffScenarios() []ffScenario {
@@ -123,7 +121,6 @@ func ffScenarios() []ffScenario {
 			name:   "rdrand-bias",
 			layout: func(*testing.T) *victim.Layout { return victim.RdrandBias() },
 			handle: "handle",
-			rng:    true,
 		},
 	}
 }
@@ -186,7 +183,7 @@ func runFFScenario(t *testing.T, sc ffScenario, cfg cpu.Config) ffDigest {
 		mon.Start(rig.Kernel, 1)
 	}
 	if err := rig.Run(5_000_000); err != nil {
-		t.Fatalf("fastForward=%v replayMemo=%v: %v", cfg.FastForward, cfg.ReplayMemo, err)
+		t.Fatalf("fastForward=%v: %v", cfg.FastForward, err)
 	}
 
 	d := ffDigest{
@@ -196,7 +193,6 @@ func runFFScenario(t *testing.T, sc ffScenario, cfg cpu.Config) ffDigest {
 		skipped:   rig.Core.SkippedCycles(),
 		replays:   rec.Replays(),
 		faults:    rec.TotalFaults(),
-		memo:      rig.Core.MemoStats(),
 	}
 	for i := 0; i < rig.Core.Contexts() && i < 2; i++ {
 		ctx := rig.Core.Context(i)
@@ -229,80 +225,6 @@ func TestFastForwardEquivalence(t *testing.T) {
 				t.Errorf("skip-on run skipped nothing: the scenario does not exercise fast-forward")
 			}
 			if on.skipped != off.skipped && off.skipped != 0 {
-				t.Errorf("skipped cycles diverge: %d (on) vs %d (off)", on.skipped, off.skipped)
-			}
-			ffAssertEqual(t, on, off, " on", "off")
-		})
-	}
-}
-
-// TestMemoEquivalence is the replay-splice analogue of the fast-forward
-// suite: every builtin victim runs the full attack with Config.ReplayMemo
-// on and off, and the runs must be observationally identical. Jitter is
-// disabled here so the steady-state replay loop actually revisits
-// fingerprints: solo (non-monitor) scenarios must then splice at least
-// one window, proving the cache engages end to end through the kernel and
-// the MicroScope module. Monitor scenarios keep a second context live, so
-// the solo gate keeps the memo idle there — asserted too.
-func TestMemoEquivalence(t *testing.T) {
-	for _, sc := range ffScenarios() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			t.Parallel()
-			onCfg := cpu.DefaultConfig()
-			onCfg.ReplayMemo = true
-			offCfg := cpu.DefaultConfig()
-			offCfg.ReplayMemo = false
-			on := runFFScenario(t, sc, onCfg)
-			off := runFFScenario(t, sc, offCfg)
-
-			if off.memo != (cpu.MemoStats{}) {
-				t.Errorf("memo-off run has memo activity: %+v", off.memo)
-			}
-			switch {
-			case sc.monitor:
-				if on.memo.Hits != 0 {
-					t.Errorf("memo spliced %d windows with a live SMT monitor (solo gate breached): %+v",
-						on.memo.Hits, on.memo)
-				}
-			case sc.rng:
-				// Each replay window consumes rdrand draws, so every window
-				// starts from a fresh RNG state and fingerprints never
-				// repeat — misses are the correct behavior here.
-				if on.memo.Hits != 0 {
-					t.Errorf("memo spliced %d windows despite per-window RNG advance: %+v",
-						on.memo.Hits, on.memo)
-				}
-				if on.memo.Misses == 0 {
-					t.Errorf("rng victim never probed the memo: %+v", on.memo)
-				}
-			case on.memo.Hits == 0:
-				t.Errorf("memo never spliced in a solo replay loop: %+v", on.memo)
-			}
-			if on.skipped != off.skipped {
-				t.Errorf("skipped cycles diverge: %d (on) vs %d (off)", on.skipped, off.skipped)
-			}
-			ffAssertEqual(t, on, off, " on", "off")
-		})
-	}
-}
-
-// TestMemoEquivalenceUnderJitter repeats the differential with the
-// fast-forward suite's jitter schedule. Jitter phases walk the window
-// fingerprint, so splices are rare-to-absent here — the point is purely
-// that whatever the memo does under timing noise stays invisible.
-func TestMemoEquivalenceUnderJitter(t *testing.T) {
-	for _, sc := range ffScenarios() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			t.Parallel()
-			onCfg := ffJitterConfig()
-			onCfg.ReplayMemo = true
-			offCfg := ffJitterConfig()
-			offCfg.ReplayMemo = false
-			on := runFFScenario(t, sc, onCfg)
-			off := runFFScenario(t, sc, offCfg)
-			if on.skipped != off.skipped {
 				t.Errorf("skipped cycles diverge: %d (on) vs %d (off)", on.skipped, off.skipped)
 			}
 			ffAssertEqual(t, on, off, " on", "off")

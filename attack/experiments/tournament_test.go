@@ -260,39 +260,10 @@ func TestTournamentWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestTournamentMemoInvariance: matrix bytes are identical with the
-// replay-splice memo on and off — the memo's soundness contract
-// surfaced at the tournament level. Jamais Vu cells additionally prove
-// the self-gating path (squash counters disable splicing).
-func TestTournamentMemoInvariance(t *testing.T) {
-	on := tournSubset()
-	off := tournSubset()
-	off.NoMemo = true
-	mOn, err := RunTournament(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mOff, err := RunTournament(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bOn, err := mOn.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bOff, err := mOff.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bOn, bOff) {
-		t.Error("matrix bytes depend on the replay memo")
-	}
-}
-
 // defenseHookCfgs are the per-defense core-config tweaks whose cpu
 // hooks are new in this change set (plus the two pre-existing hardware
-// knobs they compose with); each must preserve the fast-forward and
-// replay-memo equivalence contracts.
+// knobs they compose with); each must preserve the fast-forward
+// equivalence contract.
 func defenseHookCfgs() []struct {
 	name  string
 	tweak func(*cpu.Config)
@@ -308,8 +279,7 @@ func defenseHookCfgs() []struct {
 	}
 }
 
-// ffDefenseScenarios is the differential subset: a loop victim (memo
-// splices engage), a divider victim (delay interacts with the FP port)
+// ffDefenseScenarios is the differential subset: a loop victim, a divider victim (delay interacts with the FP port)
 // and the RNG victim (per-window state advance).
 func ffDefenseScenarios() []ffScenario {
 	var out []ffScenario
@@ -340,34 +310,6 @@ func TestDefenseHooksFastForwardEquivalence(t *testing.T) {
 				offCfg.FastForward = false
 				on := runFFScenario(t, sc, onCfg)
 				off := runFFScenario(t, sc, offCfg)
-				ffAssertEqual(t, on, off, " on", "off")
-			})
-		}
-	}
-}
-
-// TestDefenseHooksMemoEquivalence is the replay-memo analogue; for the
-// Jamais Vu hook it also proves the self-gate (squash counters armed =>
-// zero splices, or the alarm would count snipped squashes).
-func TestDefenseHooksMemoEquivalence(t *testing.T) {
-	for _, dc := range defenseHookCfgs() {
-		dc := dc
-		for _, sc := range ffDefenseScenarios() {
-			sc := sc
-			t.Run(dc.name+"/"+sc.name, func(t *testing.T) {
-				t.Parallel()
-				onCfg := cpu.DefaultConfig()
-				dc.tweak(&onCfg)
-				onCfg.ReplayMemo = true
-				offCfg := cpu.DefaultConfig()
-				dc.tweak(&offCfg)
-				offCfg.ReplayMemo = false
-				on := runFFScenario(t, sc, onCfg)
-				off := runFFScenario(t, sc, offCfg)
-				if dc.name == "jamaisvu" && on.memo.Hits != 0 {
-					t.Errorf("memo spliced %d windows with squash counters armed (self-gate breached)",
-						on.memo.Hits)
-				}
 				ffAssertEqual(t, on, off, " on", "off")
 			})
 		}

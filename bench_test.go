@@ -30,7 +30,7 @@ import (
 
 // sweepWorkers pins the parallel worker count of the sweep benchmarks.
 // Deliberately a fixed default rather than the machine's core count
-// (runtime.NumCPU is banned by determlint, and a machine-derived count
+// (runtime.NumCPU is banned by simlint's determinism analyzer, and a machine-derived count
 // would make the committed BENCH_*.json metrics incomparable across
 // hosts): every sweep benchmark runs the same schedule everywhere, and
 // the count it actually used is reported in its metric block. Override

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -41,10 +42,10 @@ var workers = flag.Int("workers", 0,
 
 // showStats, for subcommands that drive a single simulated core (table2,
 // timeline, execpath, walk), appends per-context pipeline statistics, the
-// fast-forward skip count, the replay-memo splice counters and host
-// allocation counters after the subcommand's normal output.
+// fast-forward skip count and host allocation counters after the
+// subcommand's normal output.
 var showStats = flag.Bool("stats", false,
-	"print per-context pipeline statistics, fast-forward skip counts, replay-memo counters and host allocation counters after the run")
+	"print per-context pipeline statistics, fast-forward skip counts and host allocation counters after the run")
 
 // Profiling hooks: the CLI doubles as the perf-work harness, so any
 // subcommand can be profiled directly instead of reconstructing its
@@ -202,10 +203,11 @@ func printSanitizerFindings(san *sanitizer.Sanitizer) {
 	}
 }
 
-// printStats renders the post-run statistics block for core. The host
-// allocation figures come from the Go runtime and naturally vary between
-// machines; everything above them is deterministic simulation state.
-func printStats(core *cpu.Core) {
+// printStats renders the post-run statistics block for core to w. The
+// host allocation figures come from the Go runtime and naturally vary
+// between machines; everything above them is deterministic simulation
+// state.
+func printStats(w io.Writer, core *cpu.Core) {
 	if !*showStats {
 		return
 	}
@@ -215,25 +217,22 @@ func printStats(core *cpu.Core) {
 	if cycles > 0 {
 		pct = 100 * float64(skipped) / float64(cycles)
 	}
-	fmt.Println("\n-- simulation statistics --")
-	fmt.Printf("core:  cycles=%d fast-forwarded=%d (%.1f%%)\n", cycles, skipped, pct)
+	fmt.Fprintln(w, "\n-- simulation statistics --")
+	fmt.Fprintf(w, "core:  cycles=%d fast-forwarded=%d (%.1f%%)\n", cycles, skipped, pct)
 	for i := 0; i < core.Contexts(); i++ {
 		ctx := core.Context(i)
 		if ctx.Program() == nil {
 			continue
 		}
 		s := ctx.Stats()
-		fmt.Printf("ctx%d:  fetched=%d retired=%d squashed=%d faults=%d txaborts=%d\n",
+		fmt.Fprintf(w, "ctx%d:  fetched=%d retired=%d squashed=%d faults=%d txaborts=%d\n",
 			i, s.Fetched, s.Retired, s.Squashed, s.PageFaults, s.TxAborts)
-		fmt.Printf("       mispredicts=%d memorder=%d stall-cycles=%d skipped-cycles=%d\n",
+		fmt.Fprintf(w, "       mispredicts=%d memorder=%d stall-cycles=%d skipped-cycles=%d\n",
 			s.Mispredicts, s.MemOrderViolations, s.StallCycles, s.SkippedCycles)
 	}
-	mm := core.MemoStats()
-	fmt.Printf("memo:  hits=%d misses=%d invalidations=%d spliced-cycles=%d\n",
-		mm.Hits, mm.Misses, mm.Invalidations, mm.SplicedCycles)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Printf("host:  heap-allocs=%d heap-bytes=%d gc-cycles=%d\n",
+	fmt.Fprintf(w, "host:  heap-allocs=%d heap-bytes=%d gc-cycles=%d\n",
 		ms.Mallocs, ms.TotalAlloc, ms.NumGC)
 }
 
@@ -374,7 +373,7 @@ func runTable2() error {
 	if err := obs.finish(rig.Module); err != nil {
 		return err
 	}
-	printStats(rig.Core)
+	printStats(os.Stdout, rig.Core)
 	return nil
 }
 
@@ -411,7 +410,7 @@ func runTimeline() error {
 	if err := obs.finish(rig.Module); err != nil {
 		return err
 	}
-	printStats(rig.Core)
+	printStats(os.Stdout, rig.Core)
 	if *reverseTo > 0 {
 		if err := reverseStep(rig, checkpoints, *reverseTo); err != nil {
 			return err
@@ -576,7 +575,7 @@ func runExecPath() error {
 	if err := obs.finish(rig.Module); err != nil {
 		return err
 	}
-	printStats(rig.Core)
+	printStats(os.Stdout, rig.Core)
 	return nil
 }
 
@@ -747,7 +746,7 @@ func runWalk() error {
 		}
 		fmt.Printf("  %d level(s) from memory: fault delivered after %d cycles\n",
 			levels, faultCycle-start)
-		printStats(r2.Core)
+		printStats(os.Stdout, r2.Core)
 	}
 	return nil
 }

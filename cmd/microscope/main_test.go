@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"microscope/sim/trace"
@@ -48,5 +49,56 @@ func TestTimelineTraceFlagEmitsValidChrome(t *testing.T) {
 	}
 	if !bytes.Equal(data, data2) {
 		t.Error("-trace output differs between identical runs")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a temporary file and
+// returns everything f printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// `microscope -stats timeline` appends the statistics block: the core,
+// per-context and host lines are present, and everything above the host
+// line (the timeline and the simulated counters) is byte-identical
+// across runs.
+func TestTimelineStatsFlag(t *testing.T) {
+	old := *showStats
+	defer func() { *showStats = old }()
+	*showStats = true
+
+	var aboveHost [2]string
+	for i := range aboveHost {
+		out := captureStdout(t, runTimeline)
+		for _, prefix := range []string{"core:", "ctx0:", "host:"} {
+			if !strings.Contains(out, "\n"+prefix) {
+				t.Errorf("run %d: -stats output has no %q line:\n%s", i, prefix, out)
+			}
+		}
+		if strings.Contains(out, "\nmemo:") {
+			t.Errorf("run %d: -stats output still prints a memo line:\n%s", i, out)
+		}
+		aboveHost[i], _, _ = strings.Cut(out, "\nhost:")
+	}
+	if aboveHost[0] != aboveHost[1] {
+		t.Errorf("-stats output above the host line differs between runs:\n%s\n---\n%s",
+			aboveHost[0], aboveHost[1])
 	}
 }

@@ -145,6 +145,14 @@ func victimNames() []string {
 	return names
 }
 
+// errNeedsBuiltin is the usage error of the modes that run the victim
+// (-prove, -sanitize): they need a builtin's full memory layout, which
+// -asm input does not carry.
+func errNeedsBuiltin(mode string) error {
+	return fmt.Errorf("%s needs a builtin victim, -victim one of: %s; -asm input gets the static scan only",
+		mode, strings.Join(victimNames(), ", "))
+}
+
 // Exit codes (see the package comment).
 const (
 	exitOK      = 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -142,6 +143,8 @@ func TestExitCodes(t *testing.T) {
 		{"both inputs", options{victim: "aes", asm: "x.s"}, exitUsage, true},
 		{"unknown victim", options{victim: "nope"}, exitUsage, true},
 		{"prove requires victim", options{prove: true}, exitUsage, true},
+		{"asm prove", options{asm: "x.s", prove: true}, exitUsage, true},
+		{"asm sanitize", options{asm: "x.s", sanitize: true}, exitUsage, true},
 		{"prove unknown handle", options{victim: "aes", prove: true, handle: "nope", witnessPairs: -1}, exitUsage, true},
 		{"scan findings no fail", options{victim: "controlflow"}, exitOK, false},
 		{"scan findings fail", options{victim: "controlflow", fail: true}, exitLeaky, false},
@@ -168,6 +171,33 @@ func TestExitCodes(t *testing.T) {
 				t.Fatalf("err = %v, wantErr = %v", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// -prove and -sanitize on -asm input are usage errors that name the
+// builtin victims and say -asm gets the static scan; neither sends the
+// user to the other mode, which rejects -asm just the same.
+func TestAsmModeErrors(t *testing.T) {
+	for _, c := range []struct {
+		mode, other string
+		opts        options
+	}{
+		{"-prove", "-sanitize", options{asm: "x.s", prove: true}},
+		{"-sanitize", "-prove", options{asm: "x.s", sanitize: true}},
+	} {
+		_, err := run(c.opts, io.Discard)
+		if err == nil {
+			t.Fatalf("%s on -asm input: no error", c.mode)
+		}
+		msg := err.Error()
+		for _, want := range append([]string{c.mode, "static scan only"}, victimNames()...) {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s error %q does not mention %q", c.mode, msg, want)
+			}
+		}
+		if strings.Contains(msg, c.other) {
+			t.Errorf("%s error %q points at %s, which rejects -asm too", c.mode, msg, c.other)
+		}
 	}
 }
 

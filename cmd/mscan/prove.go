@@ -19,7 +19,7 @@ type proveOutput struct {
 
 func runProve(o options, out io.Writer) (int, error) {
 	if o.victim == "" {
-		return exitUsage, fmt.Errorf("-prove requires -victim (the dynamic witness runs need a full memory layout)")
+		return exitUsage, errNeedsBuiltin("-prove")
 	}
 	b, err := findBuiltin(o.victim)
 	if err != nil {

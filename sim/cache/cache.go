@@ -97,11 +97,6 @@ type Cache struct {
 	misses    uint64
 	lineShift uint   //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
 	setMask   uint64 //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
-
-	// Replay-memo recording hooks (nil when no recording is active; see
-	// memo.go).
-	onTouch func(set int) //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	onInval func()        //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
 }
 
 // New builds a cache from cfg, panicking on invalid configuration (caches
@@ -169,9 +164,6 @@ func (c *Cache) setBits() uint { return uint(bits.Len64(c.setMask)) }
 // Lookup probes the cache without modifying replacement state.
 func (c *Cache) Lookup(pa uint64) bool {
 	set, tag := c.index(pa)
-	if c.onTouch != nil {
-		c.onTouch(int(set))
-	}
 	for _, l := range c.set(set) {
 		if l.valid && l.tag == tag {
 			return true
@@ -185,9 +177,6 @@ func (c *Cache) Lookup(pa uint64) bool {
 // ok=true.
 func (c *Cache) Access(pa uint64) (hit bool, evicted uint64, evictedOK bool) {
 	set, tag := c.index(pa)
-	if c.onTouch != nil {
-		c.onTouch(int(set))
-	}
 	c.lruClock++
 	lines := c.fillSet(set)
 	for i := range lines {
@@ -224,9 +213,6 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 // present (clflush semantics).
 func (c *Cache) Flush(pa uint64) bool {
 	set, tag := c.index(pa)
-	if c.onInval != nil {
-		c.onInval()
-	}
 	lines := c.set(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
@@ -240,9 +226,6 @@ func (c *Cache) Flush(pa uint64) bool {
 // FlushAll invalidates every line. Only filled chunks can hold valid
 // lines; invalidated lines keep their tag and LRU clock.
 func (c *Cache) FlushAll() {
-	if c.onInval != nil {
-		c.onInval()
-	}
 	for _, ch := range c.chunks {
 		for i := range ch {
 			ch[i].valid = false

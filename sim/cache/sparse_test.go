@@ -91,49 +91,6 @@ func (d *denseCache) flushAll() {
 	}
 }
 
-func (d *denseCache) memoHash(set int, h uint64) uint64 {
-	lines := d.sets[set]
-	for i := range lines {
-		if !lines[i].valid {
-			h = fold(h, 0)
-			continue
-		}
-		rank := uint64(1)
-		for j := range lines {
-			if j == i || !lines[j].valid {
-				continue
-			}
-			if lines[j].lru < lines[i].lru || (lines[j].lru == lines[i].lru && j < i) {
-				rank++
-			}
-		}
-		h = fold(h, rank<<1|1)
-		h = fold(h, lines[i].tag)
-	}
-	return h
-}
-
-func (d *denseCache) captureSet(set int, startClock uint64) []LineImage {
-	img := make([]LineImage, d.cfg.Ways)
-	for i, l := range d.sets[set] {
-		img[i] = LineImage{Valid: l.valid, Tag: l.tag, LruOff: -1}
-		if l.lru > startClock {
-			img[i].LruOff = int64(l.lru - startClock)
-		}
-	}
-	return img
-}
-
-func (d *denseCache) applySet(set int, img []LineImage, baseClock uint64) {
-	for i := range img {
-		l := &d.sets[set][i]
-		l.valid, l.tag = img[i].Valid, img[i].Tag
-		if img[i].LruOff >= 0 {
-			l.lru = baseClock + uint64(img[i].LruOff)
-		}
-	}
-}
-
 // denseSnap is a deep copy of a denseCache's state.
 type denseSnap struct {
 	lines                  [][]line
@@ -182,7 +139,7 @@ func diffHierarchyConfig() HierarchyConfig {
 }
 
 // diffOps is the number of operation kinds runCacheVsDense decodes.
-const diffOps = 9
+const diffOps = 8
 
 // runCacheVsDense decodes ops three bytes per step — operation and
 // level, then a 16-bit operand — and applies each step to a lazy
@@ -259,15 +216,6 @@ func runCacheVsDense(t *testing.T, ops []byte) {
 				t.Fatalf("step %d %s Restore: %v", step, c.cfg.Name, err)
 			}
 			d.restore(denseSnaps[lv])
-		case 8: // splice one set's image into another, as the memo does
-			from, to := n%c.cfg.Sets, (n>>4)%c.cfg.Sets
-			start := d.lruClock / 2
-			img := c.MemoCaptureSet(from, start)
-			if want := d.captureSet(from, start); !reflect.DeepEqual(img, want) {
-				t.Fatalf("step %d %s MemoCaptureSet(%d) = %v, dense %v", step, c.cfg.Name, from, img, want)
-			}
-			c.MemoApplySet(to, img, d.lruClock)
-			d.applySet(to, img, d.lruClock)
 		}
 
 		if got, want := h.LevelOf(pa), denseLevelOf(pa); got != want {
@@ -276,14 +224,9 @@ func runCacheVsDense(t *testing.T, ops []byte) {
 		for i, c := range lazy {
 			d := dense[i]
 			hits, misses := c.Stats()
-			if hits != d.hits || misses != d.misses || c.MemoClock() != d.lruClock {
+			if clock := c.Snapshot().LRUClock; hits != d.hits || misses != d.misses || clock != d.lruClock {
 				t.Fatalf("step %d %s stats %d/%d clock %d, dense %d/%d clock %d",
-					step, c.cfg.Name, hits, misses, c.MemoClock(), d.hits, d.misses, d.lruClock)
-			}
-			for s := 0; s < c.cfg.Sets; s++ {
-				if got, want := c.MemoHashSet(s, 1), d.memoHash(s, 1); got != want {
-					t.Fatalf("step %d %s MemoHashSet(%d) = %#x, dense %#x", step, c.cfg.Name, s, got, want)
-				}
+					step, c.cfg.Name, hits, misses, clock, d.hits, d.misses, d.lruClock)
 			}
 		}
 	}

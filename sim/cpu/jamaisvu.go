@@ -21,18 +21,10 @@ package cpu
 //     from the current cycle — so it is purely event-driven and
 //     bit-identical under fast-forward (no per-cycle work exists to
 //     skip).
-//
-// The counters are deliberately invisible to the replay-memo
-// fingerprint (they are detector state, not machine state a window's
-// execution depends on), so enabling the detector self-gates the memo:
-// memoUsable refuses to record or splice while SquashThreshold > 0,
-// keeping every fault delivery — and therefore every counted squash —
-// live. The differential tests in attack/experiments prove runs with
-// the detector on are otherwise bit-identical.
 
 // jvFault counts a fault-squash of the instruction at pc and raises a
 // replay alarm when the count reaches the configured threshold. Called
-// at every precise fault delivery (faultPre) and at every in-transaction
+// at every precise fault delivery (deliverFault) and at every in-transaction
 // fault that aborts to the abort handler instead of trapping — the
 // T-SGX-style self-replay the detector must also see.
 func (c *Core) jvFault(ctx *Context, pc int) {

@@ -130,8 +130,7 @@ func TestJamaisVuEpochClearsCounters(t *testing.T) {
 }
 
 // TestJamaisVuDisabledCountsNothing: threshold 0 keeps the detector
-// off — no alarms and no counter state, so the memo self-gate never
-// engages on default configs.
+// off — no alarms and no counter state on default configs.
 func TestJamaisVuDisabledCountsNothing(t *testing.T) {
 	r, handleVA, _ := jvRig(t, DefaultConfig(), 10)
 	ctx := r.run(t, replayVictim(handleVA), 2_000_000)
@@ -245,7 +244,7 @@ func TestDelaySpeculativeOffLeaksFootprint(t *testing.T) {
 }
 
 // TestFlushMicroarchScrubsStructures: the SIMF primitive leaves cache,
-// TLB, page-walk cache and replay memo cold in one call.
+// TLB and page-walk cache cold in one call.
 func TestFlushMicroarchScrubsStructures(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	dataVA := mem.Addr(0x60_0000)

@@ -63,34 +63,6 @@ type PhysMem struct {
 	size      uint64
 	nextFrame uint64
 	freeList  []uint64
-
-	// Replay-memo recording hooks (nil when no recording is active):
-	// every access is reported as the 8-byte-aligned word(s) it covers,
-	// so the cpu memo's read/write sets are word-granular.
-	onRead  func(pa Addr) //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	onWrite func(pa Addr) //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-}
-
-// SetMemoHooks installs the access-observation hooks (nil detaches).
-func (m *PhysMem) SetMemoHooks(onRead, onWrite func(pa Addr)) {
-	m.onRead = onRead
-	m.onWrite = onWrite
-}
-
-// noteRead reports the aligned words covering [pa, pa+n) to the read
-// hook. Callers check m.onRead != nil first to keep the hot path free of
-// a call.
-func (m *PhysMem) noteRead(pa Addr, n uint64) {
-	for a := pa &^ 7; a < pa+n; a += 8 {
-		m.onRead(a)
-	}
-}
-
-// noteWrite is noteRead's write-side counterpart.
-func (m *PhysMem) noteWrite(pa Addr, n uint64) {
-	for a := pa &^ 7; a < pa+n; a += 8 {
-		m.onWrite(a)
-	}
 }
 
 // NewPhysMem returns a physical memory of the given size, which must be a
@@ -163,29 +135,9 @@ func (m *PhysMem) check(pa Addr, n uint64) {
 	}
 }
 
-// Peek64 reads a 64-bit value like Read64 but without reporting to the
-// memo hooks: the memo machinery itself reads memory while its recording
-// hooks are installed, and must not observe its own probes.
-func (m *PhysMem) Peek64(pa Addr) uint64 {
-	m.check(pa, 8)
-	if off := pa & chunkMask; off <= chunkSize-8 {
-		c := m.chunks[pa>>chunkShift]
-		if c == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint64(c[off:])
-	}
-	var b [8]byte
-	m.readSlow(pa, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
 // Read64 reads a 64-bit little-endian value at physical address pa.
 func (m *PhysMem) Read64(pa Addr) uint64 {
 	m.check(pa, 8)
-	if m.onRead != nil {
-		m.noteRead(pa, 8)
-	}
 	if off := pa & chunkMask; off <= chunkSize-8 {
 		c := m.chunks[pa>>chunkShift]
 		if c == nil {
@@ -201,9 +153,6 @@ func (m *PhysMem) Read64(pa Addr) uint64 {
 // Write64 writes a 64-bit little-endian value at physical address pa.
 func (m *PhysMem) Write64(pa Addr, v uint64) {
 	m.check(pa, 8)
-	if m.onWrite != nil {
-		m.noteWrite(pa, 8)
-	}
 	if off := pa & chunkMask; off <= chunkSize-8 {
 		binary.LittleEndian.PutUint64(m.chunkFor(pa)[off:], v)
 		return
@@ -216,9 +165,6 @@ func (m *PhysMem) Write64(pa Addr, v uint64) {
 // Read32 reads a 32-bit little-endian value at physical address pa.
 func (m *PhysMem) Read32(pa Addr) uint32 {
 	m.check(pa, 4)
-	if m.onRead != nil {
-		m.noteRead(pa, 4)
-	}
 	if off := pa & chunkMask; off <= chunkSize-4 {
 		c := m.chunks[pa>>chunkShift]
 		if c == nil {
@@ -234,9 +180,6 @@ func (m *PhysMem) Read32(pa Addr) uint32 {
 // Write32 writes a 32-bit little-endian value at physical address pa.
 func (m *PhysMem) Write32(pa Addr, v uint32) {
 	m.check(pa, 4)
-	if m.onWrite != nil {
-		m.noteWrite(pa, 4)
-	}
 	if off := pa & chunkMask; off <= chunkSize-4 {
 		binary.LittleEndian.PutUint32(m.chunkFor(pa)[off:], v)
 		return
@@ -249,9 +192,6 @@ func (m *PhysMem) Write32(pa Addr, v uint32) {
 // ByteAt reads the byte at physical address pa.
 func (m *PhysMem) ByteAt(pa Addr) byte {
 	m.check(pa, 1)
-	if m.onRead != nil {
-		m.noteRead(pa, 1)
-	}
 	c := m.chunks[pa>>chunkShift]
 	if c == nil {
 		return 0
@@ -262,9 +202,6 @@ func (m *PhysMem) ByteAt(pa Addr) byte {
 // SetByte writes the byte at physical address pa.
 func (m *PhysMem) SetByte(pa Addr, v byte) {
 	m.check(pa, 1)
-	if m.onWrite != nil {
-		m.noteWrite(pa, 1)
-	}
 	m.chunkFor(pa)[pa&chunkMask] = v
 }
 
@@ -305,9 +242,6 @@ func (m *PhysMem) writeSlow(pa Addr, b []byte) {
 // ReadBytes copies n bytes starting at pa.
 func (m *PhysMem) ReadBytes(pa Addr, n uint64) []byte {
 	m.check(pa, n)
-	if m.onRead != nil && n > 0 {
-		m.noteRead(pa, n)
-	}
 	out := make([]byte, n)
 	m.readSlow(pa, out)
 	return out
@@ -316,8 +250,5 @@ func (m *PhysMem) ReadBytes(pa Addr, n uint64) []byte {
 // WriteBytes copies b into memory starting at pa.
 func (m *PhysMem) WriteBytes(pa Addr, b []byte) {
 	m.check(pa, uint64(len(b)))
-	if m.onWrite != nil && len(b) > 0 {
-		m.noteWrite(pa, uint64(len(b)))
-	}
 	m.writeSlow(pa, b)
 }

@@ -48,11 +48,6 @@ type TLB struct {
 	clock  uint64
 	hits   uint64
 	misses uint64
-
-	// Replay-memo recording hooks (nil when no recording is active; see
-	// memo.go).
-	onTouch func(set int) //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	onInval func()        //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
 }
 
 // New returns a TLB with the given geometry; sets must be a power of two.
@@ -72,9 +67,6 @@ func (t *TLB) set(vpn uint64) []way { return t.sets[vpn%t.nsets] }
 
 // Lookup returns the cached translation for (vpn, pcid), if present.
 func (t *TLB) Lookup(vpn uint64, pcid uint16) (Translation, bool) {
-	if t.onTouch != nil {
-		t.onTouch(int(vpn % t.nsets))
-	}
 	t.clock++
 	for i := range t.set(vpn) {
 		w := &t.set(vpn)[i]
@@ -90,9 +82,6 @@ func (t *TLB) Lookup(vpn uint64, pcid uint16) (Translation, bool) {
 
 // Insert caches tr, evicting the LRU way of its set if needed.
 func (t *TLB) Insert(tr Translation) {
-	if t.onTouch != nil {
-		t.onTouch(int(tr.VPN % t.nsets))
-	}
 	t.clock++
 	set := t.set(tr.VPN)
 	victim := 0
@@ -114,9 +103,6 @@ func (t *TLB) Insert(tr Translation) {
 // Invalidate drops the entry for (vpn, pcid), reporting whether one
 // existed (INVLPG).
 func (t *TLB) Invalidate(vpn uint64, pcid uint16) bool {
-	if t.onInval != nil {
-		t.onInval()
-	}
 	for i := range t.set(vpn) {
 		w := &t.set(vpn)[i]
 		if w.valid && w.tr.VPN == vpn && w.tr.PCID == pcid {
@@ -130,9 +116,6 @@ func (t *TLB) Invalidate(vpn uint64, pcid uint16) bool {
 // FlushPCID drops all entries of one context (MOV-to-CR3 without
 // PCID-preserving semantics, or enclave-boundary scrubbing).
 func (t *TLB) FlushPCID(pcid uint16) {
-	if t.onInval != nil {
-		t.onInval()
-	}
 	for s := range t.sets {
 		for i := range t.sets[s] {
 			if t.sets[s][i].valid && t.sets[s][i].tr.PCID == pcid {
@@ -144,9 +127,6 @@ func (t *TLB) FlushPCID(pcid uint16) {
 
 // FlushAll drops every entry.
 func (t *TLB) FlushAll() {
-	if t.onInval != nil {
-		t.onInval()
-	}
 	for s := range t.sets {
 		for i := range t.sets[s] {
 			t.sets[s][i].valid = false

@@ -1,8 +1,7 @@
 package lint
 
 // The determinism analyzer: simulation and analysis code must produce
-// byte-identical output for identical inputs. Ported verbatim from the
-// original tools/determlint (PR 2), now one analyzer among five.
+// byte-identical output for identical inputs.
 //
 //   - globalrand: package-level math/rand functions draw from the
 //     process-global source, whose sequence depends on everything else

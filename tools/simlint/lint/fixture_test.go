@@ -1,7 +1,6 @@
 package lint
 
-// The want-comment fixture harness, generalized from the original
-// tools/determlint tests to cover all five analyzers: typecheck a
+// The want-comment fixture harness for all four analyzers: typecheck a
 // testdata/src/<name> package under the import path <name>, run one
 // analyzer, and compare its diagnostics against the `// want` comments
 // in the sources (each holds a regexp, backquoted or double-quoted,
@@ -150,7 +149,6 @@ func testFixture(t *testing.T, analyzer, path string) {
 
 func TestDeterminismFixture(t *testing.T) { testFixture(t, "determinism", "determ") }
 func TestSnapcoverFixture(t *testing.T)   { testFixture(t, "snapcover", "snapcover") }
-func TestMemoinvalFixture(t *testing.T)   { testFixture(t, "memoinval", "memoinval") }
 func TestEnumtotalFixture(t *testing.T)   { testFixture(t, "enumtotal", "enumtotal") }
 func TestHookpairFixture(t *testing.T)    { testFixture(t, "hookpair", "hookpair") }
 
@@ -257,7 +255,6 @@ func TestVetCfgSmoke(t *testing.T) {
 		findings int
 	}{
 		{"snapcover", "snapcover", 2},
-		{"memoinval", "memoinval", 2},
 		{"enumtotal", "enumtotal", 1},
 		{"hookpair", "hookpair", 3},
 	}
@@ -333,7 +330,7 @@ func TestVetCfgSmoke(t *testing.T) {
 
 // The analyzer registry itself: canonical order, lookup, flag defs.
 func TestRegistry(t *testing.T) {
-	names := []string{"determinism", "snapcover", "memoinval", "enumtotal", "hookpair"}
+	names := []string{"determinism", "snapcover", "enumtotal", "hookpair"}
 	all := All()
 	if len(all) != len(names) {
 		t.Fatalf("All() = %d analyzers, want %d", len(all), len(names))

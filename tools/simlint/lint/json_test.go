@@ -48,7 +48,7 @@ func TestToJSONRelativizesAndSorts(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	diags := []JSONDiagnostic{
-		{Analyzer: "memoinval", File: "sim/cpu/core.go", Line: 10, Col: 1, Message: "m"},
+		{Analyzer: "determinism", File: "sim/cpu/core.go", Line: 10, Col: 1, Message: "m"},
 		{Analyzer: "snapcover", File: "sim/cache/cache.go", Line: 20, Col: 2, Message: "n"},
 	}
 	var buf bytes.Buffer

@@ -3,49 +3,13 @@ package lint
 // The checked-in manifests. These are the analyzer inputs that cannot
 // be derived structurally from the package under analysis:
 //
-//   - memoManifest names the replay-memo fingerprint inputs, derived
-//     from sim/cpu/memo.go's memoFixedDigest (the manifest-sync test in
-//     manifest_test.go pins the two to each other);
 //   - enumManifest names the closed enums whose switches must be total;
 //   - hookManifest names the hook interfaces whose implementations must
 //     be complete.
 //
 // Each manifest carries permanent fixture entries (package paths
-// "memoinval", "enumtotal", "hookpair") so the want-comment fixtures
+// "enumtotal", "hookpair") so the want-comment fixtures
 // exercise the same manifest-driven lookup path as the live tree.
-
-// memoManifest maps a package path to its fingerprint-owning receiver
-// types and, per type, the fields folded into the replay memo's window
-// fingerprint. An exported method on one of these types that writes one
-// of these fields must call a memo invalidator (memoInvalidators) or
-// carry //simlint:memoexempt <reason>.
-//
-// The sim/cpu entry mirrors memoFixedDigest: per-context architectural
-// state (regs, fetchPC, serialize|fetchHalted, stallUntil, progEpoch,
-// the address space identity) and per-core stream state (cycle phase,
-// rngState, jitterCount, the timing config, the context roster). Cache,
-// TLB, page-walk-cache, predictor and physical-memory state are
-// deliberately absent: the memo reads them through lazy first-touch
-// probes that re-validate at splice time, so mutating them forces a
-// miss without any invalidation call.
-var memoManifest = map[string]map[string][]string{
-	"microscope/sim/cpu": {
-		"Core":    {"cycle", "rngState", "jitterCount", "cfg", "contexts"},
-		"Context": {"regs", "fetchPC", "serialize", "fetchHalted", "stallUntil", "progEpoch", "as"},
-	},
-	// Fixture package (testdata/src/memoinval).
-	"memoinval": {
-		"Machine": {"clock", "seed"},
-	},
-}
-
-// memoInvalidators maps a package path to the method/function names
-// that count as the memo-invalidation path. A manifest method is clean
-// if its same-package call closure reaches any of these.
-var memoInvalidators = map[string]map[string]bool{
-	"microscope/sim/cpu": {"MemoFlush": true, "memoAbortRecording": true},
-	"memoinval":          {"Flush": true},
-}
 
 // enumManifest names the closed enums ("pkgpath.TypeName") whose value
 // switches must be total: cover every declared constant of the type,

@@ -1,4 +1,4 @@
-// Package determ is determlint's test fixture. Each "want" comment is a
+// Package determ is the determinism analyzer's test fixture. Each "want" comment is a
 // regexp the harness matches against the diagnostic reported on that
 // line; lines without one must stay clean.
 package determ

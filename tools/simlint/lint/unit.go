@@ -1,7 +1,6 @@
 package lint
 
-// The cmd/go vet-tool protocol, stdlib-only (moved from the original
-// tools/determlint unitchecker).
+// The cmd/go vet-tool protocol, stdlib-only.
 //
 // For each package, cmd/go writes a JSON config describing the unit of
 // work (file list, import map, export-data locations) and invokes the

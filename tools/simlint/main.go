@@ -1,14 +1,10 @@
 // Command simlint is the repository's multi-analyzer invariant
-// checker: five static analyzers for the simulator's own correctness
+// checker: four static analyzers for the simulator's own correctness
 // contracts, sharing one typechecked view of each package.
 //
-//   - determinism — byte-identical output for identical inputs (the
-//     original tools/determlint checks);
+//   - determinism — byte-identical output for identical inputs;
 //   - snapcover — every field of a struct with a Snapshot()/Restore()
 //     pair is serialized or carries //simlint:snapexempt <reason>;
-//   - memoinval — exported methods writing replay-memo fingerprint
-//     inputs call the memo-invalidation path or carry
-//     //simlint:memoexempt <reason>;
 //   - enumtotal — switches over the repo's closed enums are total;
 //   - hookpair — hook-interface implementations handle the full hook
 //     set or delegate via embedding.
@@ -36,8 +32,8 @@
 //
 //	bin/simlint -diff baseline.json findings.json
 //
-// Per-analyzer enable flags (-determinism, -snapcover, -memoinval,
-// -enumtotal, -hookpair) default to true and work in all modes.
+// Per-analyzer enable flags (-determinism, -snapcover, -enumtotal,
+// -hookpair) default to true and work in all modes.
 // Exit codes: 0 clean, 1 usage/load error, 2 findings (vet mode and
 // -fail/-diff).
 package main
