@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
-	"microscope/sim/kernel"
 	"microscope/sim/mem"
 	"microscope/sim/trace"
 )
@@ -84,9 +84,9 @@ func (r *runner) run(asg Assignment) (trace.Projections, error) {
 	return p, err
 }
 
-// runOne assembles a fresh platform (mirroring the experiments rig),
-// installs the subject with the assignment applied, arms the MicroScope
-// module on the replay handle, and runs to completion.
+// runOne assembles a fresh attack platform, installs the subject with
+// the assignment applied, arms the MicroScope module on the replay
+// handle, and runs to completion.
 func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 	if r.handleVA == 0 {
 		return trace.Projections{}, fmt.Errorf("verify: no replay handle known for %q", r.sub.Layout.Name)
@@ -95,15 +95,10 @@ func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 	if asg.SeedSet {
 		ccfg.RandSeed = asg.Seed
 	}
-	phys := mem.NewPhysMem(64 << 20)
-	core := cpu.NewCore(ccfg, phys)
-	k := kernel.New(kernel.DefaultConfig(), phys, core)
-	m := microscope.NewModule(k)
-	vp, err := k.NewProcess("victim")
+	rig, err := platform.New(ccfg)
 	if err != nil {
 		return trace.Projections{}, err
 	}
-	k.Schedule(0, vp)
 
 	lay := r.sub.Layout
 	if len(asg.Regs) > 0 {
@@ -111,7 +106,7 @@ func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 		patched.Prog = patchSecretImms(lay.Prog, asg.Regs)
 		lay = &patched
 	}
-	if err := lay.Install(k, vp); err != nil {
+	if err := rig.InstallVictim(lay); err != nil {
 		return trace.Projections{}, err
 	}
 	for _, mv := range asg.Mems {
@@ -119,32 +114,30 @@ func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 		for i := range b {
 			b[i] = byte(mv.Val >> (8 * uint(i)))
 		}
-		if err := k.WriteVirt(vp, mv.Addr, b[:]); err != nil {
+		if err := rig.Kernel.WriteVirt(rig.Victim, mv.Addr, b[:]); err != nil {
 			return trace.Projections{}, err
 		}
 	}
 
 	rcp := &microscope.Recipe{
 		Name:           "verify-" + lay.Name,
-		Victim:         vp,
+		Victim:         rig.Victim,
 		Handle:         r.handleVA,
 		HandlerLatency: r.cfg.HandlerLatency,
 		MaxReplays:     r.cfg.Replays,
 	}
-	if err := m.Install(rcp); err != nil {
+	if err := rig.Module.Install(rcp); err != nil {
 		return trace.Projections{}, err
 	}
 
 	rec := trace.NewRecorder()
-	core.SetTracer(rec)
-	lay.Start(k, 0)
+	rig.Core.SetTracer(rec)
+	lay.Start(rig.Kernel, 0)
 	for _, rv := range asg.Regs {
-		core.Context(0).SetReg(rv.Reg, rv.Val)
+		rig.Core.Context(0).SetReg(rv.Reg, rv.Val)
 	}
-	core.Run(r.cfg.MaxCycles)
-	if !core.Halted() {
-		return trace.Projections{}, fmt.Errorf("verify: run of %q exceeded %d cycles (victim at pc=%d)",
-			lay.Name, r.cfg.MaxCycles, core.Context(0).PC())
+	if err := rig.Run(r.cfg.MaxCycles); err != nil {
+		return trace.Projections{}, fmt.Errorf("verify: run of %q: %w", lay.Name, err)
 	}
 	return trace.ProjectTransient(rec.Events()), nil
 }

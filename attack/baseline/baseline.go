@@ -9,12 +9,10 @@
 package baseline
 
 import (
-	"fmt"
-
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
-	"microscope/sim/kernel"
 	"microscope/sim/mem"
 )
 
@@ -77,27 +75,22 @@ type ControlledChannelResult struct {
 // invisible.
 func RunControlledChannel(pageSecret bool) (*ControlledChannelResult, error) {
 	trace := func(pageSecret, lineSecret bool) ([]uint64, error) {
-		phys := mem.NewPhysMem(32 << 20)
-		core := cpu.NewCore(cpu.DefaultConfig(), phys)
-		k := kernel.New(kernel.DefaultConfig(), phys, core)
-		proc, err := k.NewProcess("victim")
+		r, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		k.Schedule(0, proc)
 		l := pageSecretVictim(pageSecret, lineSecret)
 		// Register VMAs but do NOT map: every first touch faults and the
 		// OS logs the VPN — the controlled channel.
 		for _, reg := range l.Regions {
-			k.AddVMA(proc, reg.VA, reg.VA+reg.Size, reg.Flags, reg.Name)
+			r.Kernel.AddVMA(r.Victim, reg.VA, reg.VA+reg.Size, reg.Flags, reg.Name)
 		}
-		l.Start(k, 0)
-		core.Run(10_000_000)
-		if !core.Context(0).Halted() {
-			return nil, fmt.Errorf("baseline: victim did not finish")
+		l.Start(r.Kernel, 0)
+		if err := r.Run(10_000_000); err != nil {
+			return nil, err
 		}
 		var vpns []uint64
-		for _, f := range k.FaultLog() {
+		for _, f := range r.Kernel.FaultLog() {
 			vpns = append(vpns, f.VPN)
 		}
 		return vpns, nil
@@ -139,35 +132,30 @@ type SPMResult struct {
 // RunSPM mounts Sneaky Page Monitoring: map everything eagerly, clear
 // the A bits, run the victim, read the A bits back.
 func RunSPM(pageSecret bool) (*SPMResult, error) {
-	phys := mem.NewPhysMem(32 << 20)
-	core := cpu.NewCore(cpu.DefaultConfig(), phys)
-	k := kernel.New(kernel.DefaultConfig(), phys, core)
-	proc, err := k.NewProcess("victim")
+	r, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	k.Schedule(0, proc)
 	l := pageSecretVictim(pageSecret, false)
-	if err := l.Install(k, proc); err != nil {
+	if err := r.InstallVictim(l); err != nil {
 		return nil, err
 	}
 	for _, reg := range l.Regions {
-		if err := proc.AddressSpace().ClearAccessedDirty(reg.VA); err != nil {
+		if err := r.Victim.AddressSpace().ClearAccessedDirty(reg.VA); err != nil {
 			return nil, err
 		}
 	}
-	l.Start(k, 0)
-	core.Run(10_000_000)
-	if !core.Context(0).Halted() {
-		return nil, fmt.Errorf("baseline: victim did not finish")
+	l.Start(r.Kernel, 0)
+	if err := r.Run(10_000_000); err != nil {
+		return nil, err
 	}
 
 	res := &SPMResult{
-		VictimObservedFault: core.Context(0).Stats().PageFaults > 0,
+		VictimObservedFault: r.Core.Context(0).Stats().PageFaults > 0,
 	}
 	secretSeen := false
 	for _, reg := range l.Regions {
-		e, _, err := proc.AddressSpace().LeafEntry(reg.VA)
+		e, _, err := r.Victim.AddressSpace().LeafEntry(reg.VA)
 		if err != nil {
 			return nil, err
 		}

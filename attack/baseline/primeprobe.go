@@ -1,16 +1,14 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"microscope/analysis/sweep"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/crypto/taes"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
-	"microscope/sim/kernel"
-	"microscope/sim/mem"
 )
 
 // PrimeProbeResult contrasts a conventional multi-run Prime+Probe cache
@@ -62,43 +60,38 @@ func RunPrimeProbe(key, plaintext []byte, flipProb float64, maxTraces int, seed 
 
 	oneTrace := func(trace int) (uint16, error) {
 		rng := rand.New(rand.NewSource(sweep.SeedFor(seed, trace)))
-		phys := mem.NewPhysMem(64 << 20)
-		core := cpu.NewCore(cpu.DefaultConfig(), phys)
-		k := kernel.New(kernel.DefaultConfig(), phys, core)
-		proc, err := k.NewProcess("aes")
+		r, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return 0, err
 		}
-		k.Schedule(0, proc)
 		vic, err := victim.NewAESVictim(key, ct)
 		if err != nil {
 			return 0, err
 		}
-		if err := vic.Install(k, proc); err != nil {
+		if err := r.InstallVictim(vic.Layout); err != nil {
 			return 0, err
 		}
 		// Prime: evict all Td1 lines.
 		for line := 0; line < taes.LinesPerTable; line++ {
-			pa, err := proc.AddressSpace().Translate(vic.TdLineVA(1, line))
+			pa, err := r.Victim.AddressSpace().Translate(vic.TdLineVA(1, line))
 			if err != nil {
 				return 0, err
 			}
-			core.Hierarchy().FlushAddr(pa)
+			r.Core.Hierarchy().FlushAddr(pa)
 		}
-		vic.Start(k, 0)
-		core.Run(20_000_000)
-		if !core.Context(0).Halted() {
-			return 0, fmt.Errorf("baseline: AES victim did not finish")
+		vic.Start(r.Kernel, 0)
+		if err := r.Run(20_000_000); err != nil {
+			return 0, err
 		}
 		// Probe with measurement noise: each line's verdict flips with
 		// probability flipProb (pollution, preemptions, PMU coarseness).
 		var mask uint16
 		for line := 0; line < taes.LinesPerTable; line++ {
-			pa, err := proc.AddressSpace().Translate(vic.TdLineVA(1, line))
+			pa, err := r.Victim.AddressSpace().Translate(vic.TdLineVA(1, line))
 			if err != nil {
 				return 0, err
 			}
-			hot := core.Hierarchy().LevelOf(pa) != cache.LevelMem
+			hot := r.Core.Hierarchy().LevelOf(pa) != cache.LevelMem
 			if rng.Float64() < flipProb {
 				hot = !hot
 			}

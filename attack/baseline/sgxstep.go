@@ -3,11 +3,11 @@ package baseline
 import (
 	"fmt"
 
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/crypto/taes"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
-	"microscope/sim/kernel"
 	"microscope/sim/mem"
 )
 
@@ -56,25 +56,22 @@ func RunSGXStep(key, plaintext []byte, interval uint64, noisePeriod int) (*SGXSt
 		}
 	}
 
-	phys := mem.NewPhysMem(64 << 20)
-	core := cpu.NewCore(cpu.DefaultConfig(), phys)
-	k := kernel.New(kernel.DefaultConfig(), phys, core)
-	proc, err := k.NewProcess("aes")
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	k.Schedule(0, proc)
+	core := rig.Core
 	vic, err := victim.NewAESVictim(key, ct)
 	if err != nil {
 		return nil, err
 	}
-	if err := vic.Install(k, proc); err != nil {
+	if err := rig.InstallVictim(vic.Layout); err != nil {
 		return nil, err
 	}
 
 	probePAs := make([]mem.Addr, taes.LinesPerTable)
 	for line := range probePAs {
-		pa, err := proc.AddressSpace().Translate(vic.TdLineVA(1, line))
+		pa, err := rig.Victim.AddressSpace().Translate(vic.TdLineVA(1, line))
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +122,7 @@ func RunSGXStep(key, plaintext []byte, interval uint64, noisePeriod int) (*SGXSt
 	}
 
 	prime()
-	vic.Start(k, 0)
+	vic.Start(rig.Kernel, 0)
 	ctx := core.Context(0)
 	lastRetired := uint64(0)
 	for steps := 0; steps < 100_000_000 && !ctx.Halted(); steps++ {

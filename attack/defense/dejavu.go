@@ -2,6 +2,7 @@ package defense
 
 import (
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -62,13 +63,13 @@ func dejaVuVictim(threshold uint64) *victim.Layout {
 // time budget for the region (it must tolerate at least one ordinary
 // demand fault, or it would flag every benign run).
 func RunDejaVu(threshold uint64, replays int, handlerLatency uint64) (*DejaVuResult, error) {
-	p, err := newPlatform(cpu.DefaultConfig(), "dejavu-victim")
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	core, k, m, proc := p.Core, p.Kernel, p.Module, p.Proc
+	core, k, m, proc := rig.Core, rig.Kernel, rig.Module, rig.Victim
 	l := dejaVuVictim(threshold)
-	if err := p.install(l); err != nil {
+	if err := rig.InstallVictim(l); err != nil {
 		return nil, err
 	}
 
@@ -99,7 +100,7 @@ func RunDejaVu(threshold uint64, replays int, handlerLatency uint64) (*DejaVuRes
 		return nil, err
 	}
 	l.Start(k, 0)
-	if err := p.run(100_000_000); err != nil {
+	if err := rig.Run(100_000_000); err != nil {
 		return nil, err
 	}
 	flag, err := proc.AddressSpace().Read64Virt(outVA)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -68,13 +69,13 @@ func RunFenceAfterFlush() (*FenceAfterFlushResult, error) {
 // of 5 replay windows exposed the transmit's footprint (the probe line is
 // re-flushed after every window).
 func replayLeakObserved(cfg cpu.Config) (int, error) {
-	p, err := newPlatform(cfg, "victim")
+	rig, err := platform.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	core, k, m, proc := p.Core, p.Kernel, p.Module, p.Proc
+	core, k, m, proc := rig.Core, rig.Kernel, rig.Module, rig.Victim
 	l := leakVictim()
-	if err := p.install(l); err != nil {
+	if err := rig.InstallVictim(l); err != nil {
 		return 0, err
 	}
 	probePA, err := proc.AddressSpace().Translate(probeVA)
@@ -101,7 +102,7 @@ func replayLeakObserved(cfg cpu.Config) (int, error) {
 		return 0, err
 	}
 	l.Start(k, 0)
-	if err := p.run(50_000_000); err != nil {
+	if err := rig.Run(50_000_000); err != nil {
 		return 0, err
 	}
 	return leaky, nil
@@ -128,11 +129,11 @@ func leakVictim() *victim.Layout {
 // benignWorkloadCycles runs a data-dependent branchy loop with demand
 // paging — the workload class fence-after-flush taxes.
 func benignWorkloadCycles(cfg cpu.Config) (uint64, error) {
-	p, err := newPlatform(cfg, "benign")
+	rig, err := platform.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	core, k, proc := p.Core, p.Kernel, p.Proc
+	core, k, proc := rig.Core, rig.Kernel, rig.Victim
 	data := mem.Addr(0x0060_0000)
 	k.AddVMA(proc, data, data+8*mem.PageSize, rw, "data") // demand paged
 
@@ -156,7 +157,7 @@ func benignWorkloadCycles(cfg cpu.Config) (uint64, error) {
 		Halt().MustBuild()
 	core.Context(0).SetProgram(prog, 0)
 	start := core.Cycle()
-	if err := p.run(50_000_000); err != nil {
+	if err := rig.Run(50_000_000); err != nil {
 		return 0, fmt.Errorf("benign workload: %w", err)
 	}
 	return core.Cycle() - start, nil
@@ -209,22 +210,22 @@ func RunInvisibleSpeculation() (*InvisibleSpecResult, error) {
 func runDenoiseWithConfig(secret bool, replays int, tweak func(*cpu.Config)) (bool, error) {
 	cfg := cpu.DefaultConfig()
 	tweak(&cfg)
-	p, err := newPlatform(cfg, "victim")
+	rig, err := platform.New(cfg)
 	if err != nil {
 		return false, err
 	}
 	vic := victim.ControlFlowSecret(secret)
-	if err := p.install(vic); err != nil {
+	if err := rig.InstallVictim(vic); err != nil {
 		return false, err
 	}
 	var lastBusy uint64
 	hits := 0
 	rec := &microscope.Recipe{
-		Name: "inv-port", Victim: p.Proc, Handle: vic.Sym("handle"),
+		Name: "inv-port", Victim: rig.Victim, Handle: vic.Sym("handle"),
 		MaxReplays: replays,
 	}
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
-		busy := p.Core.Ports().DivBusyCycles
+		busy := rig.Core.Ports().DivBusyCycles
 		if busy > lastBusy {
 			hits++
 		}
@@ -234,11 +235,11 @@ func runDenoiseWithConfig(secret bool, replays int, tweak func(*cpu.Config)) (bo
 		}
 		return microscope.Replay
 	}
-	if err := p.Module.Install(rec); err != nil {
+	if err := rig.Module.Install(rec); err != nil {
 		return false, err
 	}
-	vic.Start(p.Kernel, 0)
-	if err := p.run(100_000_000); err != nil {
+	vic.Start(rig.Kernel, 0)
+	if err := rig.Run(100_000_000); err != nil {
 		return false, err
 	}
 	return (hits > replays/2) == secret, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -86,7 +87,7 @@ func RunPFOblivious() (*PFObliviousResult, error) {
 	// compare the VPN fault sequences.
 	var traces [2][]uint64
 	for i, secret := range []bool{false, true} {
-		p, err := newPlatform(cpu.DefaultConfig(), "obliv")
+		rig, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -94,13 +95,13 @@ func RunPFOblivious() (*PFObliviousResult, error) {
 		// Install regions WITHOUT eager mapping: every first touch
 		// faults, exposing the page-level trace to the OS.
 		for _, reg := range l.Regions {
-			p.Kernel.AddVMA(p.Proc, reg.VA, reg.VA+reg.Size, reg.Flags, reg.Name)
+			rig.Kernel.AddVMA(rig.Victim, reg.VA, reg.VA+reg.Size, reg.Flags, reg.Name)
 		}
-		l.Start(p.Kernel, 0)
-		if err := p.run(50_000_000); err != nil {
+		l.Start(rig.Kernel, 0)
+		if err := rig.Run(50_000_000); err != nil {
 			return nil, fmt.Errorf("oblivious victim %d: %w", i, err)
 		}
-		for _, f := range p.Kernel.FaultLog() {
+		for _, f := range rig.Kernel.FaultLog() {
 			traces[i] = append(traces[i], f.VPN)
 		}
 	}
@@ -109,13 +110,13 @@ func RunPFOblivious() (*PFObliviousResult, error) {
 	// Step 2: mount MicroScope using a redundant access as the handle and
 	// recover the secret through the cache-line channel.
 	secret := true
-	p, err := newPlatform(cpu.DefaultConfig(), "obliv-attacked")
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	core, k, m, proc := p.Core, p.Kernel, p.Module, p.Proc
+	core, k, m, proc := rig.Core, rig.Kernel, rig.Module, rig.Victim
 	l := oblivVictim(secret)
-	if err := p.install(l); err != nil {
+	if err := rig.InstallVictim(l); err != nil {
 		return nil, err
 	}
 	// Every page the victim touches is a handle candidate; the redundant
@@ -157,7 +158,7 @@ func RunPFOblivious() (*PFObliviousResult, error) {
 		return nil, err
 	}
 	l.Start(k, 0)
-	if err := p.run(50_000_000); err != nil {
+	if err := rig.Run(50_000_000); err != nil {
 		return nil, fmt.Errorf("attacked oblivious victim: %w", err)
 	}
 	res.SecretRecovered = recovered == 1 // secret was true

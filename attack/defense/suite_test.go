@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -21,7 +22,7 @@ func runCanonicalAttack(t *testing.T, d Defense, replays int, latency uint64) (V
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	d.Configure(&cfg)
-	p, err := newPlatform(cfg, "victim")
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,42 +30,42 @@ func runCanonicalAttack(t *testing.T, d Defense, replays int, latency uint64) (V
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.install(hardened); err != nil {
+	if err := rig.InstallVictim(hardened); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Install(p.Kernel, p.Proc); err != nil {
+	if err := d.Install(rig.Kernel, rig.Victim); err != nil {
 		t.Fatal(err)
 	}
 
-	probePA, err := p.Proc.AddressSpace().Translate(probeVA)
+	probePA, err := rig.Victim.AddressSpace().Translate(probeVA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Core.Hierarchy().FlushAddr(probePA)
+	rig.Core.Hierarchy().FlushAddr(probePA)
 
 	leaky := 0
 	rec := &microscope.Recipe{
-		Name: "canonical", Victim: p.Proc, Handle: handleVA,
+		Name: "canonical", Victim: rig.Victim, Handle: handleVA,
 		HandlerLatency: latency, MaxReplays: replays,
 	}
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
-		if p.Core.Hierarchy().LevelOf(probePA) != cache.LevelMem {
+		if rig.Core.Hierarchy().LevelOf(probePA) != cache.LevelMem {
 			leaky++
-			p.Core.Hierarchy().FlushAddr(probePA)
+			rig.Core.Hierarchy().FlushAddr(probePA)
 		}
 		if ev.Replays >= replays {
 			return microscope.Release
 		}
 		return microscope.Replay
 	}
-	if err := p.Module.Install(rec); err != nil {
+	if err := rig.Module.Install(rec); err != nil {
 		t.Fatal(err)
 	}
-	hardened.Start(p.Kernel, 0)
-	if err := p.run(100_000_000); err != nil {
+	hardened.Start(rig.Kernel, 0)
+	if err := rig.Run(100_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return d.Verdict(p.Kernel, p.Core, p.Proc, 0), leaky
+	return d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0), leaky
 }
 
 // TestDefenseRosterVsCanonicalReplay runs every roster defense against
@@ -129,7 +130,7 @@ func TestDefenseRosterSilentOnConstantTime(t *testing.T) {
 		t.Run(d.Name(), func(t *testing.T) {
 			cfg := cpu.DefaultConfig()
 			d.Configure(&cfg)
-			p, err := newPlatform(cfg, "control")
+			rig, err := platform.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,17 +138,17 @@ func TestDefenseRosterSilentOnConstantTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.install(hardened); err != nil {
+			if err := rig.InstallVictim(hardened); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Install(p.Kernel, p.Proc); err != nil {
+			if err := d.Install(rig.Kernel, rig.Victim); err != nil {
 				t.Fatal(err)
 			}
-			hardened.Start(p.Kernel, 0)
-			if err := p.run(50_000_000); err != nil {
+			hardened.Start(rig.Kernel, 0)
+			if err := rig.Run(50_000_000); err != nil {
 				t.Fatal(err)
 			}
-			if v := d.Verdict(p.Kernel, p.Core, p.Proc, 0); v.Detected {
+			if v := d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0); v.Detected {
 				t.Errorf("false positive on benign run (counters %v)", v.Counters)
 			}
 		})
@@ -210,7 +211,7 @@ func benignCyclesUnder(t *testing.T, d Defense) uint64 {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	d.Configure(&cfg)
-	p, err := newPlatform(cfg, "benign")
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,17 +219,17 @@ func benignCyclesUnder(t *testing.T, d Defense) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.install(hardened); err != nil {
+	if err := rig.InstallVictim(hardened); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Install(p.Kernel, p.Proc); err != nil {
+	if err := d.Install(rig.Kernel, rig.Victim); err != nil {
 		t.Fatal(err)
 	}
-	hardened.Start(p.Kernel, 0)
-	if err := p.run(50_000_000); err != nil {
+	hardened.Start(rig.Kernel, 0)
+	if err := rig.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return p.Core.Cycle()
+	return rig.Core.Cycle()
 }
 
 // TestDefenseRosterBoundedOverhead bounds every defense's slowdown on

@@ -7,6 +7,7 @@ package defense
 import (
 	"fmt"
 
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -84,13 +85,13 @@ func tsgxVictim(n int) *victim.Layout {
 // passively observes the transmit's cache footprint after each of the
 // first n−1 retries.
 func RunTSGX(n int) (*TSGXResult, error) {
-	p, err := newPlatform(cpu.DefaultConfig(), "tsgx-victim")
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	core, k, proc := p.Core, p.Kernel, p.Proc
+	core, k, proc := rig.Core, rig.Kernel, rig.Victim
 	l := tsgxVictim(n)
-	if err := p.install(l); err != nil {
+	if err := rig.InstallVictim(l); err != nil {
 		return nil, err
 	}
 

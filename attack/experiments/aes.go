@@ -6,6 +6,7 @@ import (
 
 	"microscope/analysis/sidechan"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/crypto/taes"
 	"microscope/sim/cache"
@@ -49,7 +50,7 @@ func TrialPlaintext(trial int) []byte {
 
 // aesRig bundles the platform with the AES victim and its probe lists.
 type aesRig struct {
-	*Rig
+	*platform.Rig
 	vic       *victim.AESVictim
 	allLines  []mem.Addr // Td0..Td3 + Td4 cache-line addresses (80)
 	lineTable []int      // parallel: table index per probe address
@@ -67,7 +68,7 @@ func newAESRig(cfg AESConfig) (*aesRig, []byte, error) {
 	ct := make([]byte, taes.BlockSize)
 	c.Encrypt(ct, cfg.Plaintext)
 
-	rig, err := NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +96,7 @@ func newAESRig(cfg AESConfig) (*aesRig, []byte, error) {
 // leaving the machine in exactly the state newAESRig would have built
 // for that plaintext. The victim program, symbols and probe lists are
 // ciphertext-independent and shared read-only with the template.
-func forkAESRig(template *aesRig, rig *Rig, cfg AESConfig) (*aesRig, []byte, error) {
+func forkAESRig(template *aesRig, rig *platform.Rig, cfg AESConfig) (*aesRig, []byte, error) {
 	c, err := taes.NewCipher(cfg.Key)
 	if err != nil {
 		return nil, nil, err

@@ -48,6 +48,8 @@ func enclaveSecretVictim(base mem.Addr, secret bool) (*victim.Layout, []byte) {
 
 // RunEnclaveAttack mounts the whole scenario.
 func RunEnclaveAttack(secret bool) (*EnclaveAttackResult, error) {
+	// Assembled by hand, not with platform.New: the enclave manager's AEX
+	// observer must hook the kernel before the MicroScope module does.
 	phys := mem.NewPhysMem(64 << 20)
 	core := cpu.NewCore(cpu.DefaultConfig(), phys)
 	k := kernel.New(kernel.DefaultConfig(), phys, core)

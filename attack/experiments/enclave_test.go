@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 )
@@ -89,7 +90,7 @@ func TestModExpVictimComputesCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig, err := NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

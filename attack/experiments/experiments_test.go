@@ -130,6 +130,36 @@ func TestAESConfigValidation(t *testing.T) {
 	}
 }
 
+// TestFig10ConfigValidation: a non-positive sample or division count is
+// an error from every Fig. 10 entry point, not a panic inside a sweep
+// goroutine.
+func TestFig10ConfigValidation(t *testing.T) {
+	cases := []struct {
+		name          string
+		samples, cont int
+	}{
+		{"zero-samples", 0, 2},
+		{"negative-samples", -5, 2},
+		{"zero-cont", 100, 0},
+		{"negative-cont", 100, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultFig10Config()
+			cfg.Samples, cfg.Cont = tc.samples, tc.cont
+			if _, err := RunFig10(cfg); err == nil {
+				t.Error("RunFig10 accepted the config")
+			}
+			if _, err := RunFig10Sweep(cfg, 2); err == nil {
+				t.Error("RunFig10Sweep accepted the config")
+			}
+			if _, err := RunFig10SweepColdBoot(cfg, 2); err == nil {
+				t.Error("RunFig10SweepColdBoot accepted the config")
+			}
+		})
+	}
+}
+
 func TestModExpValidation(t *testing.T) {
 	if _, err := RunModExp(5, 3, 7, 0); err == nil {
 		t.Error("zero bits accepted")

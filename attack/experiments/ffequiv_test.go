@@ -5,6 +5,7 @@ import (
 
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
@@ -138,7 +139,7 @@ func ffJitterConfig() cpu.Config {
 // and digests the run.
 func runFFScenario(t *testing.T, sc ffScenario, cfg cpu.Config) ffDigest {
 	t.Helper()
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

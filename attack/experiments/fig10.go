@@ -9,6 +9,7 @@ import (
 	"microscope/analysis/sweep"
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 )
@@ -57,6 +58,17 @@ func DefaultFig10Config() Fig10Config {
 	}
 }
 
+// validate rejects configurations the monitor cannot be built for.
+func (c Fig10Config) validate() error {
+	if c.Samples <= 0 {
+		return fmt.Errorf("experiments: fig10 needs samples > 0, got %d", c.Samples)
+	}
+	if c.Cont <= 0 {
+		return fmt.Errorf("experiments: fig10 needs cont > 0, got %d", c.Cont)
+	}
+	return nil
+}
+
 // Fig10Side holds one victim-side run (mul or div).
 type Fig10Side struct {
 	Samples []uint64
@@ -89,6 +101,9 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 // independent simulations (each builds its own Rig), so they run as a
 // two-trial sweep; the result is identical to running them back to back.
 func RunFig10WithCore(cfg Fig10Config, tweak func(*cpu.Config)) (*Fig10Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	sides, err := sweep.Run(2, sweep.Options{Workers: cfg.Workers},
 		func(trial int) (Fig10Side, error) {
 			return runFig10Side(cfg, trial == 1, tweak)
@@ -125,7 +140,7 @@ func (r *Fig10Result) SecretDetected() bool { return r.SeparationX >= 4 }
 // fig10Rig is one side's assembled platform: the rig plus the victim
 // and monitor layouts (needed for symbols and program start).
 type fig10Rig struct {
-	rig *Rig
+	rig *platform.Rig
 	vic *victim.Layout
 	mon *victim.Layout
 }
@@ -133,7 +148,7 @@ type fig10Rig struct {
 // buildFig10Rig boots a platform and installs the victim and monitor —
 // the checkpointable prefix of a Fig. 10 side (no recipe, no cycles).
 func buildFig10Rig(coreCfg cpu.Config, cfg Fig10Config, secret bool) (*fig10Rig, error) {
-	rig, err := NewRig(coreCfg)
+	rig, err := platform.New(coreCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -236,6 +251,9 @@ type Fig10SweepResult struct {
 func RunFig10Sweep(cfg Fig10Config, trials int) (*Fig10SweepResult, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiments: fig10 sweep needs trials > 0, got %d", trials)
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	// One template + checkpoint + pool per victim side (mul, div).
 	baseCfg := cpu.DefaultConfig()

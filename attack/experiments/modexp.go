@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -33,7 +34,7 @@ func RunModExp(base, exp, mod uint64, bits int) (*ModExpResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rig, err := NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

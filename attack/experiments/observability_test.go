@@ -7,6 +7,7 @@ import (
 
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/trace"
@@ -21,7 +22,7 @@ func runFFObserved(t *testing.T, sc ffScenario) (ffDigest, *trace.Collector, *tr
 	cfg.JitterPeriod = 901
 	cfg.JitterExtra = 150
 
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"microscope/analysis/static"
 	"microscope/analysis/verify"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/sanitizer"
@@ -189,7 +190,7 @@ func RunSpecSanLayout(name string, lay *victim.Layout, handleSym string, cfg Spe
 	if asg != nil && asg.SeedSet {
 		ccfg.RandSeed = asg.Seed
 	}
-	rig, err := NewRig(ccfg)
+	rig, err := platform.New(ccfg)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ import (
 
 	"microscope/analysis/verify"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/sanitizer"
@@ -110,13 +111,13 @@ func TestSpecSanThreeWayCrossValidation(t *testing.T) {
 // optionally with a seeded sanitizer attached, ready for Start+Run.
 // It mirrors RunSpecSanLayout's setup but leaves the tracer and run
 // loop to the caller.
-func assembleSanRig(t *testing.T, tgt SanTarget, attach bool) (*Rig, *sanitizer.Sanitizer, *victim.Layout) {
+func assembleSanRig(t *testing.T, tgt SanTarget, attach bool) (*platform.Rig, *sanitizer.Sanitizer, *victim.Layout) {
 	t.Helper()
 	lay, err := tgt.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig, err := NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"microscope/analysis/sweep"
 	"microscope/attack/defense"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -268,7 +269,7 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 	// trial forks from here, so the 64 MB platform boots once per
 	// victim plus once per concurrent worker, not once per cell.
 	type warm struct {
-		cp   *Checkpoint
+		cp   *platform.Checkpoint
 		pool *rigPool
 	}
 	warms := make([]warm, len(victims))
@@ -277,7 +278,7 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 		if err != nil {
 			return nil, fmt.Errorf("tournament: build %s: %w", v.Name, err)
 		}
-		rig, err := NewRig(baseCfg)
+		rig, err := platform.New(baseCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +431,7 @@ func pickHandles(names []string) ([]string, error) {
 // runTournTrial runs one (victim, defense) pair: the control plus one
 // cell per handle class, all on a single pooled rig restored to the
 // victim's checkpoint between runs.
-func runTournTrial(pool *rigPool, cp *Checkpoint, baseCfg cpu.Config,
+func runTournTrial(pool *rigPool, cp *platform.Checkpoint, baseCfg cpu.Config,
 	v tournVictim, d defense.Defense, handles []string) (tournTrial, error) {
 	rig, err := pool.get() // arrives restored to cp
 	if err != nil {
@@ -513,7 +514,7 @@ type prober struct {
 
 // newProber sets the channel up cold: cache probes translate and flush
 // every line of the probe page; port probes latch the divider counter.
-func newProber(rig *Rig, v tournVictim, lay *victim.Layout) (*prober, error) {
+func newProber(rig *platform.Rig, v tournVictim, lay *victim.Layout) (*prober, error) {
 	p := &prober{kind: v.probe, core: rig.Core}
 	switch v.probe {
 	case probeCache:
@@ -563,7 +564,7 @@ type driveResult struct {
 	cycles  uint64
 }
 
-func driveHandle(rig *Rig, v tournVictim, hardened *victim.Layout, handle string) (driveResult, error) {
+func driveHandle(rig *platform.Rig, v tournVictim, hardened *victim.Layout, handle string) (driveResult, error) {
 	switch handle {
 	case "pagefault":
 		return driveRecipe(rig, v, hardened, false)
@@ -583,7 +584,7 @@ func driveHandle(rig *Rig, v tournVictim, hardened *victim.Layout, handle string
 // tournSelectiveLeaks windows have leaked — few enough faults to duck
 // the default detector budgets — with a backstop when the defense
 // starves the probe.
-func driveRecipe(rig *Rig, v tournVictim, hardened *victim.Layout, selective bool) (driveResult, error) {
+func driveRecipe(rig *platform.Rig, v tournVictim, hardened *victim.Layout, selective bool) (driveResult, error) {
 	pb, err := newProber(rig, v, hardened)
 	if err != nil {
 		return driveResult{}, err
@@ -626,7 +627,7 @@ func driveRecipe(rig *Rig, v tournVictim, hardened *victim.Layout, selective boo
 // become aborts the kernel never sees, and each abort-retry is a
 // replay window observed passively. The wrap falls back to untracked
 // execution after its budget so the victim always finishes.
-func driveTSX(rig *Rig, v tournVictim, hardened *victim.Layout) (driveResult, error) {
+func driveTSX(rig *platform.Rig, v tournVictim, hardened *victim.Layout) (driveResult, error) {
 	wrapped, err := victim.WrapTx(hardened, int64(tournBackstopReplays+24), false)
 	if err != nil {
 		return driveResult{}, err
@@ -678,7 +679,7 @@ func driveTSX(rig *Rig, v tournVictim, hardened *victim.Layout) (driveResult, er
 // replay window with no fault for any fault-centric defense to see.
 // Victims without conditional branches cannot be attacked this way;
 // the cell runs unmounted.
-func driveMispredict(rig *Rig, v tournVictim, hardened *victim.Layout) (driveResult, error) {
+func driveMispredict(rig *platform.Rig, v tournVictim, hardened *victim.Layout) (driveResult, error) {
 	var branches []int
 	for i, in := range hardened.Prog.Instrs {
 		if in.Op.IsCondBranch() {

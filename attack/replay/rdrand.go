@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -51,7 +52,7 @@ const (
 func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, error) {
 	cfg := cpu.DefaultConfig()
 	cfg.FencedRdrand = fenced
-	r, err := newRig(cfg)
+	r, err := platform.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -76,25 +77,25 @@ func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, 
 			{Name: "out", VA: biasOutVA, Size: mem.PageSize, Flags: mem.FlagUser | mem.FlagWritable},
 		},
 	}
-	if err := l.Install(r.k, r.proc); err != nil {
+	if err := r.InstallVictim(l); err != nil {
 		return nil, err
 	}
 
-	line0, err := r.proc.AddressSpace().Translate(biasArrayVA)
+	line0, err := r.Victim.AddressSpace().Translate(biasArrayVA)
 	if err != nil {
 		return nil, err
 	}
-	line1, err := r.proc.AddressSpace().Translate(biasArrayVA + 64)
+	line1, err := r.Victim.AddressSpace().Translate(biasArrayVA + 64)
 	if err != nil {
 		return nil, err
 	}
 	flushLines := func() {
-		r.core.Hierarchy().FlushAddr(line0)
-		r.core.Hierarchy().FlushAddr(line1)
+		r.Core.Hierarchy().FlushAddr(line0)
+		r.Core.Hierarchy().FlushAddr(line1)
 	}
 	observeBit := func() (uint64, bool) {
-		hot0 := r.core.Hierarchy().LevelOf(line0) != cache.LevelMem
-		hot1 := r.core.Hierarchy().LevelOf(line1) != cache.LevelMem
+		hot0 := r.Core.Hierarchy().LevelOf(line0) != cache.LevelMem
+		hot1 := r.Core.Hierarchy().LevelOf(line1) != cache.LevelMem
 		switch {
 		case hot0 && !hot1:
 			return 0, true
@@ -108,7 +109,7 @@ func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, 
 	gaveUp := false
 	rec := &microscope.Recipe{
 		Name:   "rdrand-bias",
-		Victim: r.proc,
+		Victim: r.Victim,
 		Handle: biasHandleVA,
 	}
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
@@ -122,26 +123,26 @@ func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, 
 		flushLines()
 		return microscope.Replay
 	}
-	if err := r.m.Install(rec); err != nil {
+	if err := r.Module.Install(rec); err != nil {
 		return nil, err
 	}
 	flushLines()
-	l.Start(r.k, 0)
+	l.Start(r.Kernel, 0)
 
 	// Drive the core cycle by cycle, watching the probe lines. When the
 	// observed bit matches the target, set the present bit immediately —
 	// before the in-flight walk concludes — so this very draw retires.
-	ctx := r.core.Context(0)
+	ctx := r.Core.Context(0)
 	accepted := false
 	for steps := 0; steps < 100_000_000 && !ctx.Halted(); steps++ {
-		r.core.Step()
+		r.Core.Step()
 		if accepted || gaveUp {
 			continue
 		}
 		if bit, ok := observeBit(); ok {
 			res.Observed = true
 			if bit == targetBit {
-				if _, err := r.proc.AddressSpace().SetPresent(biasHandleVA, true); err != nil {
+				if _, err := r.Victim.AddressSpace().SetPresent(biasHandleVA, true); err != nil {
 					return nil, err
 				}
 				accepted = true
@@ -151,7 +152,7 @@ func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, 
 	if !ctx.Halted() {
 		return nil, fmt.Errorf("replay: rdrand victim did not finish")
 	}
-	out, err := r.proc.AddressSpace().Read64Virt(biasOutVA)
+	out, err := r.Victim.AddressSpace().Read64Virt(biasOutVA)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ import (
 	"microscope/attack/defense"
 	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/replay"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
@@ -71,7 +72,7 @@ func BenchmarkTable1Taxonomy(b *testing.B) {
 // BenchmarkTable2API exercises the five user-API operations end to end.
 func BenchmarkTable2API(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rig, err := experiments.NewRig(cpu.DefaultConfig())
+		rig, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func BenchmarkTable2API(b *testing.B) {
 // replayer/victim timeline.
 func BenchmarkFig3Timeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rig, err := experiments.NewRig(cpu.DefaultConfig())
+		rig, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func BenchmarkFig5SingleSecret(b *testing.B) {
 // BenchmarkFig9ExecPath measures the kernel fault path with the module
 // loaded (Fig. 9 steps 1-7) per delivered fault.
 func BenchmarkFig9ExecPath(b *testing.B) {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func BenchmarkSec8Defenses(b *testing.B) {
 // core config and walk tuning: the replay-window length knob.
 func faultDelay(b *testing.B, cfg cpu.Config, walkLevels int) uint64 {
 	b.Helper()
-	rig, err := experiments.NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,7 +602,7 @@ func BenchmarkAblationROBSize(b *testing.B) {
 // victim that streams through many lines after the handle.
 func windowFootprint(b *testing.B, cfg cpu.Config) uint64 {
 	b.Helper()
-	rig, err := experiments.NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

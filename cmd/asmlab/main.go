@@ -12,11 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 
-	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -39,13 +41,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*script, *handle, *pivot, *probe, *lines, *replays, *walk, *disasm); err != nil {
+	if err := run(os.Stdout, *script, *handle, *pivot, *probe, *lines, *replays, *walk, *disasm); err != nil {
 		fmt.Fprintln(os.Stderr, "asmlab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk int, disasm bool) error {
+func run(w io.Writer, scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk int, disasm bool) error {
 	src, err := os.ReadFile(scriptPath)
 	if err != nil {
 		return err
@@ -55,11 +57,27 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 		return err
 	}
 	if disasm {
-		fmt.Print(isa.Disassemble(l.Prog))
+		fmt.Fprint(w, isa.Disassemble(l.Prog))
 		return nil
 	}
 
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	handleVA, err := lookupSym(l, "handle", handleSym)
+	if err != nil {
+		return err
+	}
+	var pivotVA, probeVA mem.Addr
+	if pivotSym != "" {
+		if pivotVA, err = lookupSym(l, "pivot", pivotSym); err != nil {
+			return err
+		}
+	}
+	if probeSym != "" {
+		if probeVA, err = lookupSym(l, "probe", probeSym); err != nil {
+			return err
+		}
+	}
+
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -69,20 +87,17 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 
 	var probeAddrs []mem.Addr
 	if probeSym != "" {
-		base := l.Sym(probeSym)
 		for i := 0; i < lines; i++ {
-			probeAddrs = append(probeAddrs, base+mem.Addr(i)*64)
+			probeAddrs = append(probeAddrs, probeVA+mem.Addr(i)*64)
 		}
 	}
 
 	rec := &microscope.Recipe{
 		Name:       "asmlab",
 		Victim:     rig.Victim,
-		Handle:     l.Sym(handleSym),
+		Handle:     handleVA,
+		Pivot:      pivotVA,
 		WalkLevels: walk,
-	}
-	if pivotSym != "" {
-		rec.Pivot = l.Sym(pivotSym)
 	}
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
 		kind := "handle"
@@ -90,7 +105,7 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 			kind = "pivot"
 		}
 		hot := describeProbe(rig, probeAddrs)
-		fmt.Printf("fault %2d (%-6s replay %2d, cycle %8d): hot lines %s\n",
+		fmt.Fprintf(w, "fault %2d (%-6s replay %2d, cycle %8d): hot lines %s\n",
 			ev.TotalFaults, kind, ev.Replays, ev.Cycle, hot)
 		if err := rig.Module.PrimeAddrs(rig.Victim, probeAddrs); err != nil {
 			fmt.Fprintln(os.Stderr, "asmlab: prime:", err)
@@ -115,13 +130,27 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 		return err
 	}
 
-	fmt.Printf("\nvictim finished: %t; total faults: %d\n",
+	fmt.Fprintf(w, "\nvictim finished: %t; total faults: %d\n",
 		rig.Core.Context(0).Halted(), rec.TotalFaults())
-	fmt.Printf("registers: %s\n", describeRegs(rig))
+	fmt.Fprintf(w, "registers: %s\n", describeRegs(rig))
 	return nil
 }
 
-func describeProbe(rig *experiments.Rig, addrs []mem.Addr) string {
+// lookupSym resolves the symbol a -flag names, erroring (instead of
+// panicking in Layout.Sym) when the script does not define it.
+func lookupSym(l *victim.Layout, flagName, sym string) (mem.Addr, error) {
+	if va, ok := l.Symbols[sym]; ok {
+		return va, nil
+	}
+	known := make([]string, 0, len(l.Symbols))
+	for name := range l.Symbols {
+		known = append(known, name)
+	}
+	sort.Strings(known)
+	return 0, fmt.Errorf("-%s: unknown symbol %q (script defines: %s)", flagName, sym, strings.Join(known, ", "))
+}
+
+func describeProbe(rig *platform.Rig, addrs []mem.Addr) string {
 	if len(addrs) == 0 {
 		return "(no probe)"
 	}
@@ -141,7 +170,7 @@ func describeProbe(rig *experiments.Rig, addrs []mem.Addr) string {
 	return strings.Join(hot, " ")
 }
 
-func describeRegs(rig *experiments.Rig) string {
+func describeRegs(rig *platform.Rig) string {
 	ctx := rig.Core.Context(0)
 	var parts []string
 	for r := isa.R1; r <= isa.R8; r++ {

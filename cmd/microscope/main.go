@@ -26,6 +26,7 @@ import (
 	"microscope/attack/defense"
 	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/replay"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
@@ -51,10 +52,10 @@ var showStats = flag.Bool("stats", false,
 // subcommand can be profiled directly instead of reconstructing its
 // workload in a benchmark.
 var cpuProfile = flag.String("cpuprofile", "",
-	"write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
+	"write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 
 var memProfile = flag.String("memprofile", "",
-	"write a heap profile at command exit to this file (inspect with `go tool pprof`)")
+	"write a heap profile at command exit to this file (inspect with go tool pprof)")
 
 // traceOut and showMetrics attach the sim/trace observability stack to
 // subcommands that drive a single simulated core (table2, timeline,
@@ -83,19 +84,19 @@ var sanitize = flag.Bool("sanitize", false,
 // writes the machine state at command exit as a gob image that
 // tools/snapdiff can diff against another run's.
 var checkpointEvery = flag.Uint64("checkpoint-every", 0,
-	"snapshot the machine every N cycles during `timeline` (enables -reverse-to)")
+	"snapshot the machine every N cycles during timeline (enables -reverse-to)")
 
 var reverseTo = flag.Uint64("reverse-to", 0,
-	"after `timeline` completes, restore the nearest checkpoint <= K and re-run to cycle K, then print the machine state (requires -checkpoint-every)")
+	"after timeline completes, restore the nearest checkpoint <= K and re-run to cycle K, then print the machine state (requires -checkpoint-every)")
 
 var checkpointOut = flag.String("checkpoint-out", "",
-	"write the machine snapshot at `timeline` exit to this file (gob; diff two with tools/snapdiff)")
+	"write the machine snapshot at timeline exit to this file (gob; diff two with tools/snapdiff)")
 
 // jsonOut switches the tournament subcommand from the rendered grids to
 // the byte-deterministic JSON matrix — the exact bytes the golden test
 // gates, so CI diffs and the committed testdata stay comparable.
 var jsonOut = flag.Bool("json", false,
-	"print the tournament matrix as canonical JSON instead of rendered tables (`tournament` only)")
+	"print the tournament matrix as canonical JSON instead of rendered tables (tournament only)")
 
 // observers is the tracer stack the -trace/-metrics flags request.
 type observers struct {
@@ -108,7 +109,7 @@ type observers struct {
 // secret declaration and attaches it to the rig's core. Returns nil
 // without touching the core when -sanitize is unset, preserving the
 // zero-overhead-when-off guarantee.
-func (o *observers) attachSanitizer(rig *experiments.Rig, l *victim.Layout) error {
+func (o *observers) attachSanitizer(rig *platform.Rig, l *victim.Layout) error {
 	if !*sanitize {
 		return nil
 	}
@@ -335,7 +336,7 @@ func usage() {
 
 // runTable2 exercises the five Table 2 operations against a live victim.
 func runTable2() error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -379,7 +380,7 @@ func runTable2() error {
 
 // runTimeline reproduces the Fig. 3 interleaving on a live attack.
 func runTimeline() error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -427,7 +428,7 @@ func runTimeline() error {
 // cycleCheckpoint is one periodic whole-machine checkpoint.
 type cycleCheckpoint struct {
 	Cycle uint64
-	CP    *experiments.Checkpoint
+	CP    *platform.Checkpoint
 }
 
 // runCheckpointed runs the rig to completion within budget. With
@@ -435,7 +436,7 @@ type cycleCheckpoint struct {
 // machine after each (plus a cycle-0 baseline); the chunked run is
 // bit-identical to an unchunked one (Run resumes exactly where it
 // stopped, and taking a snapshot does not perturb machine state).
-func runCheckpointed(rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, error) {
+func runCheckpointed(rig *platform.Rig, budget uint64) ([]cycleCheckpoint, error) {
 	every := *checkpointEvery
 	if every == 0 {
 		return nil, rig.Run(budget)
@@ -474,7 +475,7 @@ func runCheckpointed(rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, er
 // cycle and deterministically re-runs forward to it — the "step
 // backwards to cycle k-1" debugging move a forward-only simulator
 // cannot otherwise make.
-func reverseStep(rig *experiments.Rig, cps []cycleCheckpoint, target uint64) error {
+func reverseStep(rig *platform.Rig, cps []cycleCheckpoint, target uint64) error {
 	var best *cycleCheckpoint
 	for i := range cps {
 		if cps[i].Cycle <= target && (best == nil || cps[i].Cycle > best.Cycle) {
@@ -506,7 +507,7 @@ func reverseStep(rig *experiments.Rig, cps []cycleCheckpoint, target uint64) err
 
 // writeCheckpoint snapshots the rig as it stands and writes the gob
 // image tools/snapdiff consumes.
-func writeCheckpoint(rig *experiments.Rig, path string) error {
+func writeCheckpoint(rig *platform.Rig, path string) error {
 	cp, err := rig.Checkpoint()
 	if err != nil {
 		return err
@@ -529,7 +530,7 @@ func writeCheckpoint(rig *experiments.Rig, path string) error {
 // runExecPath narrates the Fig. 9 execution path of a single intercepted
 // fault.
 func runExecPath() error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -699,7 +700,7 @@ func runBaselines() error {
 // level serving each level and the resulting walk latency under the
 // §4.1.2 tuning extremes.
 func runWalk() error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -719,7 +720,7 @@ func runWalk() error {
 	}
 	fmt.Println("\nwalk-duration tuning (§4.1.2): victim-observed fault delay by levels flushed")
 	for levels := 1; levels <= 4; levels++ {
-		r2, err := experiments.NewRig(cpu.DefaultConfig())
+		r2, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return err
 		}

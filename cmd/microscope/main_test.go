@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,4 +102,21 @@ func TestTimelineStatsFlag(t *testing.T) {
 		t.Errorf("-stats output above the host line differs between runs:\n%s\n---\n%s",
 			aboveHost[0], aboveHost[1])
 	}
+}
+
+// TestFlagPlaceholders guards -h against misleading argument names: the
+// flag package turns a back-quoted word in a usage string into the
+// flag's placeholder, so "(`tournament` only)" once rendered the bool
+// -json as "-json tournament". Every placeholder must be empty (bools)
+// or the value's type name.
+func TestFlagPlaceholders(t *testing.T) {
+	typeNames := map[string]bool{"": true, "string": true, "int": true, "uint": true, "float": true, "duration": true, "value": true}
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // registered by the testing package
+		}
+		if name, _ := flag.UnquoteUsage(f); !typeNames[name] {
+			t.Errorf("-%s shows placeholder %q; drop the back-quotes from its usage", f.Name, name)
+		}
+	})
 }

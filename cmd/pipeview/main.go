@@ -11,8 +11,8 @@ import (
 	"os"
 
 	"microscope/analysis/pipetrace"
-	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/trace"
@@ -34,7 +34,7 @@ func main() {
 }
 
 func run(replays int, secret bool, traceOut string, metrics bool) error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}

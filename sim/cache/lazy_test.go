@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"testing"
 
-	"microscope/attack/experiments"
+	"microscope/attack/platform"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
 )
@@ -28,7 +28,7 @@ func TestHierarchyBootIsLazy(t *testing.T) {
 		t.Errorf("NewDefaultHierarchy allocates %d bytes per boot, want < %d", per, budget)
 	}
 
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

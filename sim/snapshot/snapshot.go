@@ -90,7 +90,7 @@ type Machine struct {
 	Core    *cpu.CoreSnap
 	Kernel  *kernel.KernelSnap
 	// Module is the MicroScope module's state; nil when the machine was
-	// captured without one (filled in by attack/experiments.Rig).
+	// captured without one (filled in by attack/platform.Rig).
 	Module *ModuleState
 }
 
